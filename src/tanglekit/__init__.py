@@ -17,13 +17,7 @@ from .bipartition import (
     reshape,
     unreshape,
 )
-from .linalg import (
-    determinant,
-    maximal_minors,
-    pfaffian,
-    rank_combination,
-    unrank_combination,
-)
+from .linalg import maximal_minors, pfaffian
 from .local_ops import (
     LocalOperator,
     PovmPair,

@@ -16,6 +16,7 @@ from .monotones import InvariantReport, all_partitions_report, partition_report
 from .states import (
     NAMED_STATES,
     StateParseError,
+    _fmt,
     load_state,
     make_named_state,
     serialize_state,
@@ -38,10 +39,6 @@ _CSV_COLUMNS = (
     "aux_im",
     "rank_deficient",
 )
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _record_fields(report: InvariantReport, monotone: str) -> dict[str, str | None]:

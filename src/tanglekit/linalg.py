@@ -1,10 +1,8 @@
-"""Dense complex linear-algebra kernels: determinants, Pfaffians, maximal minors,
-and lexicographic ranking of row combinations."""
+"""Dense complex linear-algebra kernels: Pfaffians and maximal minors."""
 
 from __future__ import annotations
 
 import itertools
-from math import comb
 
 import numpy as np
 
@@ -21,14 +19,6 @@ def _as_matrix(matrix) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def determinant(matrix) -> complex:
-    """Determinant of a square complex matrix via pivoted LU elimination."""
-    m = _as_matrix(matrix)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"determinant needs a square matrix, got shape {m.shape}")
-    return complex(np.linalg.det(m))
 
 
 def pfaffian(matrix) -> complex:
@@ -73,7 +63,7 @@ def maximal_minors(matrix) -> list[tuple[tuple[int, ...], complex]]:
     """All maximal minors of a rows >= cols matrix.
 
     Returns one ``(row_combination, minor)`` pair per cols-sized row subset, in
-    lexicographic (= rank) order of the strictly increasing row tuples.
+    :func:`itertools.combinations` order of the strictly increasing row tuples.
     """
     z = _as_matrix(matrix)
     rows, cols = z.shape
@@ -84,44 +74,3 @@ def maximal_minors(matrix) -> list[tuple[tuple[int, ...], complex]]:
         sub = z[members, :]
         out.append((members, complex(np.linalg.det(sub))))
     return out
-
-
-def rank_combination(members, total: int) -> int:
-    """Lexicographic rank of a strictly increasing combination drawn from range(total)."""
-    members = tuple(members)
-    size = len(members)
-    prev = -1
-    for c in members:
-        if c <= prev or c >= total:
-            raise ValueError(
-                f"members must be strictly increasing in [0, {total}), got {members}"
-            )
-        prev = c
-    rank = 0
-    prev = -1
-    for k, c in enumerate(members):
-        for v in range(prev + 1, c):
-            rank += comb(total - 1 - v, size - 1 - k)
-        prev = c
-    return rank
-
-
-def unrank_combination(index: int, total: int, size: int) -> tuple[int, ...]:
-    """Inverse of :func:`rank_combination`: the index-th combination in lexicographic order."""
-    if not 0 <= index < comb(total, size):
-        raise ValueError(
-            f"index {index} out of range for C({total}, {size}) = {comb(total, size)}"
-        )
-    members = []
-    v = 0
-    remaining = index
-    for k in range(size):
-        while True:
-            block = comb(total - 1 - v, size - 1 - k)
-            if remaining < block:
-                break
-            remaining -= block
-            v += 1
-        members.append(v)
-        v += 1
-    return tuple(members)

@@ -8,8 +8,10 @@ For a partition with ``L = 2**(N-n) >= l = 2**n`` and reshape ``Z``:
   factor is invariant under determinant-one SLOCC operations.
 
 Both are homogeneous of degree 4 in the amplitudes, so unnormalized states are
-accepted; internally the reshape is prescaled by its Frobenius norm (and the
-exact scale restored) to keep the determinants well conditioned.
+accepted.  Each partition is reshaped once; :func:`_scaled` divides that
+reshape by its Frobenius norm, to keep the determinants well conditioned, and
+returns the exact ``|c|**4`` scale, which the private kernels
+(:func:`_d_value`, :func:`_e_value`, :func:`_pfaffian_value`) multiply back in.
 """
 
 from __future__ import annotations
@@ -41,41 +43,42 @@ class InvariantReport:
     rank_deficient: bool = False
 
 
-def _check_partition(state: PureState, partition: Partition) -> None:
-    if partition.num_qubits != state.num_qubits:
-        raise ValueError(
-            f"partition is for {partition.num_qubits} qubits, state has "
-            f"{state.num_qubits}"
-        )
-
-
-def _scaled_reshape(state: PureState, partition: Partition):
-    """Unit-Frobenius reshape and the |c|**4 homogeneity factor it carries."""
-    z = reshape(state, partition)
+def _scaled(z: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unit-Frobenius copy of a reshape and the |c|**4 homogeneity factor it carries."""
     scale = float(np.linalg.norm(z))
     if scale == 0.0:
         return z, 0.0
     return z / scale, scale**4
 
 
-def d_monotone(state: PureState, partition: Partition) -> float:
-    """LU monotone ``l**2 * det(Z^dag Z)**(2/l)``; in [0, 1] at unit norm."""
-    _check_partition(state, partition)
-    z, factor = _scaled_reshape(state, partition)
+def _d_value(z: np.ndarray, factor: float, partition: Partition) -> float:
     if factor == 0.0:
         return 0.0
     det = float(np.linalg.det(gram_hermitian(z)).real)
     return factor * partition.l**2 * max(det, 0.0) ** (2.0 / partition.l)
 
 
-def e_monotone(state: PureState, partition: Partition) -> float:
-    """SLOCC monotone ``l**2 * |det(Z^T g Z)|**(2/l)``; at most D at unit norm."""
-    _check_partition(state, partition)
-    z, factor = _scaled_reshape(state, partition)
+def _e_value(z: np.ndarray, factor: float, partition: Partition) -> float:
     if factor == 0.0:
         return 0.0
     det = np.linalg.det(gram_bilinear(z, partition.m))
     return factor * partition.l**2 * float(abs(det)) ** (2.0 / partition.l)
+
+
+def _pfaffian_value(z: np.ndarray, factor: float, partition: Partition) -> complex:
+    if factor == 0.0:
+        return 0j
+    return factor * pfaffian(gram_bilinear(z, partition.m))
+
+
+def d_monotone(state: PureState, partition: Partition) -> float:
+    """LU monotone ``l**2 * det(Z^dag Z)**(2/l)``; in [0, 1] at unit norm."""
+    return _d_value(*_scaled(reshape(state, partition)), partition)
+
+
+def e_monotone(state: PureState, partition: Partition) -> float:
+    """SLOCC monotone ``l**2 * |det(Z^T g Z)|**(2/l)``; at most D at unit norm."""
+    return _e_value(*_scaled(reshape(state, partition)), partition)
 
 
 def concurrence_squared(state: PureState) -> float:
@@ -156,11 +159,7 @@ def five_qubit_pfaffian_monotone(state: PureState, partition: Partition) -> floa
         )
     if partition.n != 2:
         raise ValueError(f"the Pfaffian form needs n = 2, got n = {partition.n}")
-    _check_partition(state, partition)
-    z, factor = _scaled_reshape(state, partition)
-    if factor == 0.0:
-        return 0.0
-    return factor * 16.0 * abs(pfaffian(gram_bilinear(z, partition.m)))
+    return 16.0 * abs(_pfaffian_value(*_scaled(reshape(state, partition)), partition))
 
 
 def meyer_wallach_q(state: PureState) -> float:
@@ -188,7 +187,9 @@ def admissible_partitions(num_qubits: int) -> list[Partition]:
     return parts
 
 
-def _aux_invariant(state: PureState, partition: Partition):
+def _aux_invariant(
+    state: PureState, partition: Partition, z: np.ndarray, factor: float
+):
     n_total = state.num_qubits
     if n_total == 4 and partition.selected == (4,):
         return "H", four_qubit_h(state)
@@ -198,22 +199,22 @@ def _aux_invariant(state: PureState, partition: Partition):
             name, idx = by_selection[partition.selected]
             return name, four_qubit_lmn(state)[idx]
     if n_total == 5 and partition.n == 2:
-        z, factor = _scaled_reshape(state, partition)
-        if factor == 0.0:
-            return "pfaffian", 0j
-        return "pfaffian", factor * pfaffian(gram_bilinear(z, partition.m))
+        return "pfaffian", _pfaffian_value(z, factor, partition)
     return None, None
 
 
 def partition_report(state: PureState, partition: Partition) -> InvariantReport:
-    """Monotone values, named auxiliary invariant, and rank flag for one partition."""
-    _check_partition(state, partition)
+    """Monotone values, named auxiliary invariant, and rank flag for one partition.
+
+    The partition is reshaped once; the rank is taken of the unscaled reshape.
+    """
     z = reshape(state, partition)
-    aux_name, aux_value = _aux_invariant(state, partition)
+    scaled, factor = _scaled(z)
+    aux_name, aux_value = _aux_invariant(state, partition, scaled, factor)
     return InvariantReport(
         partition=partition,
-        d_value=d_monotone(state, partition),
-        e_value=e_monotone(state, partition),
+        d_value=_d_value(scaled, factor, partition),
+        e_value=_e_value(scaled, factor, partition),
         aux_name=aux_name,
         aux_value=aux_value,
         rank_deficient=bool(np.linalg.matrix_rank(z) < partition.l),

@@ -15,8 +15,8 @@ from .linalg import maximal_minors
 
 @dataclass(frozen=True)
 class PluckerVector:
-    """The C(L, l) maximal minors of an L x l matrix, in lexicographic rank order
-    of the row combinations."""
+    """The C(L, l) maximal minors of an L x l matrix, in
+    :func:`itertools.combinations` order of the row combinations."""
 
     rows: int
     cols: int
@@ -53,7 +53,7 @@ def plucker_relation_residual(p: PluckerVector) -> float:
             f"the quadratic relation is implemented for Gr(4,2) only, "
             f"got Gr({p.rows},{p.cols})"
         )
-    c = p.coords  # rank order: (0,1) (0,2) (0,3) (1,2) (1,3) (2,3)
+    c = p.coords  # rows (0,1) (0,2) (0,3) (1,2) (1,3) (2,3)
     return float(abs(c[0] * c[5] - c[1] * c[4] + c[2] * c[3]))
 
 

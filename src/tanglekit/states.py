@@ -138,6 +138,8 @@ def parse_state(text: str) -> PureState:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateParseError(f"invalid document: {exc.msg}", position=exc.pos) from exc
+    except ValueError as exc:  # e.g. an integer past the int-string digit limit
+        raise StateParseError(f"invalid document: {exc}") from exc
     if not isinstance(doc, dict):
         raise StateParseError("top-level value must be an object")
     if "n_qubits" not in doc or "amplitudes" not in doc:
@@ -161,7 +163,10 @@ def parse_state(text: str) -> PureState:
         )
         if not ok:
             raise StateParseError(f"amplitude {i}: expected a [re, im] number pair")
-        amps[i] = complex(pair[0], pair[1])
+        try:
+            amps[i] = complex(pair[0], pair[1])
+        except OverflowError:
+            raise StateParseError(f"amplitude {i}: value out of range") from None
     if not np.all(np.isfinite(amps)):
         raise StateParseError("amplitudes must be finite")
     return PureState(n, amps)
@@ -169,7 +174,11 @@ def parse_state(text: str) -> PureState:
 
 def load_state(path) -> PureState:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_state(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise StateParseError(f"state file is not UTF-8 text: {exc.reason}") from exc
+    return parse_state(text)
 
 
 def save_state(state: PureState, path) -> None:

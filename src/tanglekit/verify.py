@@ -18,6 +18,7 @@ from .bipartition import Partition, epsilon_apply, epsilon_matrix, reshape, unre
 from .linalg import maximal_minors, pfaffian
 from .local_ops import (
     LocalOperator,
+    _ginibre,
     _haar_unitary,
     apply_local,
     monotonicity_trial,
@@ -83,10 +84,6 @@ class CheckResult:
 
 def _result(name: str, tol: float, residual: float, trials: int) -> CheckResult:
     return CheckResult(name, tol, residual, trials, residual <= tol)
-
-
-def _ginibre(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
 def _rel(a: float, b: float) -> float:

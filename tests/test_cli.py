@@ -121,15 +121,29 @@ def test_compute_output_is_deterministic(tmp_path, capsys):
     assert first == second
 
 
+def _amplitude_document(first_re: str) -> bytes:
+    return f'{{"n_qubits": 1, "amplitudes": [[{first_re}, 0], [0, 0]]}}'.encode()
+
+
+# One loop rather than a parametrization keeps this test's id stable.
+MALFORMED_FILES = {
+    "wrong-count": b'{"n_qubits": 2, "amplitudes": [[1, 0]]}',
+    "401-digit-int": _amplitude_document("9" * 401),
+    "5000-digit-int": _amplitude_document("9" * 5000),
+    "not-utf8": b'{"n_qubits": 1, "amplitudes": [[1, 0], [0, 0]]} \xe9\xff',
+}
+
+
 def test_compute_malformed_file_exits_2_without_output(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text('{"n_qubits": 2, "amplitudes": [[1, 0]]}')
-    code, stdout, stderr = run_cli(
-        capsys, "compute", "--state", str(path), "--partition", "2"
-    )
-    assert code == 2
-    assert stdout == ""
-    assert "error" in stderr
+    for name, content in MALFORMED_FILES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(content)
+        code, stdout, stderr = run_cli(
+            capsys, "compute", "--state", str(path), "--partition", "1"
+        )
+        assert code == 2, name
+        assert stdout == "", name
+        assert stderr.startswith("error: "), name
 
 
 def test_compute_missing_file_exits_2(tmp_path, capsys):

@@ -4,64 +4,12 @@ from math import comb
 import numpy as np
 import pytest
 
-from tanglekit.linalg import (
-    determinant,
-    maximal_minors,
-    pfaffian,
-    rank_combination,
-    unrank_combination,
-)
+from tanglekit.linalg import maximal_minors, pfaffian
 from oracles import det_cofactor
 
 
 def _cmat(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def test_determinant_identity():
-    assert determinant(np.eye(2)) == 1.0
-
-
-def test_determinant_epsilon_block():
-    assert abs(determinant([[0.0, 1.0], [-1.0, 0.0]]) - 1.0) < 1e-15
-
-
-def test_determinant_matches_cofactor_oracle():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        m = _cmat(rng, (4, 4))
-        expected = det_cofactor(m)
-        assert abs(determinant(m) - expected) <= 1e-12 * max(1.0, abs(expected))
-
-
-def test_determinant_row_swap_antisymmetry():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        m = _cmat(rng, (5, 5))
-        swapped = m.copy()
-        swapped[[0, 3]] = swapped[[3, 0]]
-        d = determinant(m)
-        assert abs(determinant(swapped) + d) <= 1e-12 * max(1.0, abs(d))
-
-
-def test_determinant_multiplicative():
-    rng = np.random.default_rng(3)
-    for dim in range(1, 9):
-        a = _cmat(rng, (dim, dim))
-        b = _cmat(rng, (dim, dim))
-        lhs = determinant(a @ b)
-        rhs = determinant(a) * determinant(b)
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-
-
-def test_determinant_rejects_non_square():
-    with pytest.raises(ValueError):
-        determinant(np.zeros((3, 2)))
-
-
-def test_determinant_rejects_non_finite():
-    with pytest.raises(ValueError):
-        determinant([[1.0, np.inf], [0.0, 1.0]])
 
 
 def test_pfaffian_2x2():
@@ -84,7 +32,7 @@ def test_pfaffian_square_equals_determinant():
             m = _cmat(rng, (dim, dim))
             a = m - m.T
             pf = pfaffian(a)
-            det = determinant(a)
+            det = np.linalg.det(a)
             assert abs(pf**2 - det) <= 1e-10 * max(1.0, abs(det))
 
 
@@ -115,7 +63,7 @@ def test_maximal_minors_square_case():
     z = _cmat(rng, (2, 2))
     [(members, value)] = maximal_minors(z)
     assert members == (0, 1)
-    assert abs(value - determinant(z)) < 1e-14
+    assert abs(value - np.linalg.det(z)) < 1e-14
 
 
 def test_maximal_minors_4x2_pairwise_formula():
@@ -147,38 +95,3 @@ def test_maximal_minors_count_matches_binomial():
 def test_maximal_minors_rejects_wide_matrix():
     with pytest.raises(ValueError):
         maximal_minors(np.zeros((2, 4)))
-
-
-def test_rank_combination_first_and_last():
-    assert rank_combination((0, 1), 4) == 0
-    assert rank_combination((2, 3), 4) == 5
-
-
-def test_rank_unrank_round_trip_c84():
-    for members in itertools.combinations(range(8), 4):
-        assert unrank_combination(rank_combination(members, 8), 8, 4) == members
-
-
-def test_rank_matches_lexicographic_enumeration():
-    # the full combination space up to 16 rows and 4 columns
-    for total in range(1, 17):
-        for size in range(1, min(total, 4) + 1):
-            for idx, members in enumerate(itertools.combinations(range(total), size)):
-                assert rank_combination(members, total) == idx
-                assert unrank_combination(idx, total, size) == members
-
-
-def test_rank_combination_rejects_bad_members():
-    with pytest.raises(ValueError):
-        rank_combination((1, 1), 4)
-    with pytest.raises(ValueError):
-        rank_combination((2, 1), 4)
-    with pytest.raises(ValueError):
-        rank_combination((0, 4), 4)
-
-
-def test_unrank_combination_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        unrank_combination(6, 4, 2)
-    with pytest.raises(ValueError):
-        unrank_combination(-1, 4, 2)

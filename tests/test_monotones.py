@@ -285,10 +285,23 @@ def test_report_pfaffian_aux_for_five_qubits():
 
 
 def test_report_values_match_monotone_calls():
-    state = random_state(4, seed=200)
-    report = partition_report(state, Partition(4, (2, 4)))
-    assert report.d_value == d_monotone(state, Partition(4, (2, 4)))
-    assert report.e_value == e_monotone(state, Partition(4, (2, 4)))
+    # The report and the single-value entry points share one kernel per value.
+    zero5 = PureState(5, np.zeros(32))
+    states = [random_state(n, seed=200 + n) for n in range(2, 7)]
+    states += [GHZ5, make_named_state("w", 5), zero5]
+    for state in states:
+        for report in all_partitions_report(state):
+            part = report.partition
+            assert report.d_value == d_monotone(state, part)
+            assert report.e_value == e_monotone(state, part)
+            if report.aux_name == "pfaffian":
+                expected = five_qubit_pfaffian_monotone(state, part)
+                assert abs(16.0 * abs(report.aux_value) - expected) <= 1e-12 * expected
+    for report in all_partitions_report(zero5):
+        assert report.d_value == report.e_value == 0.0
+        assert report.rank_deficient
+        if report.partition.n == 2:
+            assert report.aux_name == "pfaffian" and report.aux_value == 0j
 
 
 def test_range_and_ordering_on_normalized_states():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from tanglekit.bipartition import Partition, reshape
-from tanglekit.linalg import rank_combination
 from tanglekit.plucker import (
     PluckerVector,
     gauge_transform,
@@ -16,6 +15,9 @@ from tanglekit.plucker import (
 )
 from tanglekit.states import make_named_state, random_state
 from oracles import det_cofactor, epsilon_entry_rule
+
+# Coordinate order of Gr(4, 2): the row pairs in itertools.combinations order.
+PAIRS_OF_4 = list(itertools.combinations(range(4), 2))
 
 
 def _cmat(rng, shape):
@@ -30,7 +32,7 @@ def test_coordinates_vanish_for_product_state():
 def test_coordinates_of_ghz3():
     z = reshape(make_named_state("ghz", 3), Partition(3, (3,)))
     p = plucker_coordinates(z)
-    idx = rank_combination((0, 3), 4)
+    idx = PAIRS_OF_4.index((0, 3))
     assert abs(p.coords[idx] - 0.5) < 1e-15
     others = np.delete(p.coords, idx)
     assert np.all(others == 0)
@@ -55,8 +57,8 @@ def test_relation_residual_vanishes_on_actual_matrices():
 
 def test_relation_residual_detects_non_separable_bivector():
     coords = np.zeros(6, dtype=complex)
-    coords[rank_combination((0, 1), 4)] = 1.0
-    coords[rank_combination((2, 3), 4)] = 1.0
+    coords[PAIRS_OF_4.index((0, 1))] = 1.0
+    coords[PAIRS_OF_4.index((2, 3))] = 1.0
     assert abs(plucker_relation_residual(PluckerVector(4, 2, coords)) - 1.0) < 1e-15
 
 
