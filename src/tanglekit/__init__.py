@@ -26,9 +26,10 @@ from .local_ops import (
     povm_branches,
     random_povm_pair,
     random_sl2,
-    random_u2,
+    random_unitary,
 )
 from .monotones import (
+    FOUR_QUBIT_LMN_SELECTIONS,
     FOUR_QUBIT_LMN_SIGNS,
     InvariantReport,
     admissible_partitions,

@@ -127,15 +127,17 @@ def parity_signs(m: int) -> np.ndarray:
 
 
 def epsilon_apply(m: int, v) -> np.ndarray:
-    """Apply the ε-form to a vector: ``(g v)[i] = (-1)**popcount(i) * v[~i]``.
+    """Apply the ε-form along axis 0: ``(g v)[i] = (-1)**popcount(i) * v[~i]``.
 
-    The bitwise complement within m bits is ``2**m - 1 - i``, so the whole
-    operation is a reversal times a parity sign, O(2**m).
+    ``v`` is a vector of length ``2**m`` or a matrix with ``2**m`` rows.  The
+    bitwise complement within m bits is ``2**m - 1 - i``, so the whole operation
+    is a row reversal times a parity sign, O(size of v).
     """
     vec = np.asarray(v, dtype=complex)
-    if vec.shape != (2**m,):
-        raise ValueError(f"expected a vector of length {2**m}, got shape {vec.shape}")
-    return parity_signs(m) * vec[::-1]
+    if vec.ndim not in (1, 2) or vec.shape[0] != 2**m:
+        raise ValueError(f"expected {2**m} rows, got shape {vec.shape}")
+    signs = parity_signs(m)
+    return (signs if vec.ndim == 1 else signs[:, None]) * vec[::-1]
 
 
 def epsilon_matrix(m: int) -> np.ndarray:
@@ -154,4 +156,4 @@ def bilinear(m: int, a, b) -> complex:
         raise ValueError(
             f"expected two vectors of length {2**m}, got shapes {av.shape}, {bv.shape}"
         )
-    return complex(np.sum(parity_signs(m) * av * bv[::-1]))
+    return complex(av @ epsilon_apply(m, bv))

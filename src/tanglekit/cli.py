@@ -16,7 +16,7 @@ from .monotones import InvariantReport, all_partitions_report, partition_report
 from .states import (
     NAMED_STATES,
     StateParseError,
-    _fmt,
+    format_float,
     load_state,
     make_named_state,
     serialize_state,
@@ -48,11 +48,11 @@ def _record_fields(report: InvariantReport, monotone: str) -> dict[str, str | No
         "n": str(report.partition.n),
         "L": str(report.partition.L),
         "l": str(report.partition.l),
-        "d_value": _fmt(report.d_value) if monotone in ("d", "both") else None,
-        "e_value": _fmt(report.e_value) if monotone in ("e", "both") else None,
+        "d_value": format_float(report.d_value) if monotone in ("d", "both") else None,
+        "e_value": format_float(report.e_value) if monotone in ("e", "both") else None,
         "aux_name": report.aux_name,
-        "aux_re": _fmt(aux.real) if aux is not None else None,
-        "aux_im": _fmt(aux.imag) if aux is not None else None,
+        "aux_re": format_float(aux.real) if aux is not None else None,
+        "aux_im": format_float(aux.imag) if aux is not None else None,
         "rank_deficient": "true" if report.rank_deficient else "false",
     }
 

@@ -12,9 +12,9 @@ from .bipartition import Partition
 from .monotones import d_monotone, e_monotone
 from .states import PureState, normalize
 
-SL2_DET_TOL = 1e-12
-UNITARITY_TOL = 1e-12
 COMPLETENESS_TOL = 1e-12
+# Operator-norm bound on the SL(2,C) samples of :func:`random_sl2`.
+SL2_MAX_NORM = 3.0
 # Branches this unlikely contribute zero instead of amplifying round-off
 # through a near-zero renormalization.
 BRANCH_PROB_FLOOR = 1e-14
@@ -65,35 +65,33 @@ class PovmPair:
         object.__setattr__(self, "a2", a2)
 
 
-def _ginibre(rng: np.random.Generator, shape) -> np.ndarray:
+def ginibre(rng: np.random.Generator, shape) -> np.ndarray:
+    """Complex Ginibre sample: i.i.d. standard complex normal entries."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def _haar_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    q, r = np.linalg.qr(_ginibre(rng, (dim, dim)))
+def random_unitary(seed=None, dim: int = 2) -> np.ndarray:
+    """Haar-random dim x dim unitary (QR of a Ginibre matrix with phase fix)."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(ginibre(rng, (dim, dim)))
     d = np.diag(r)
     return q * (d / np.abs(d))
 
 
-def random_u2(seed=None) -> np.ndarray:
-    """Haar-random 2 x 2 unitary (QR of a Ginibre matrix with phase fix)."""
-    return _haar_unitary(np.random.default_rng(seed))
-
-
-def random_sl2(seed=None, max_norm: float = 3.0) -> np.ndarray:
-    """Random SL(2,C) element with operator norm at most ``max_norm``.
+def random_sl2(seed=None) -> np.ndarray:
+    """Random SL(2,C) element with operator norm at most :data:`SL2_MAX_NORM`.
 
     Ginibre sample divided by a square root of its determinant; candidates
     with |det| < 0.1 or normalized operator norm above the bound are rejected.
     """
     rng = np.random.default_rng(seed)
     while True:
-        m = _ginibre(rng, (2, 2))
+        m = ginibre(rng, (2, 2))
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         if abs(det) < 0.1:
             continue
         m = m / np.sqrt(complex(det))
-        if np.linalg.norm(m, 2) <= max_norm:
+        if np.linalg.norm(m, 2) <= SL2_MAX_NORM:
             return m
 
 
@@ -106,9 +104,9 @@ def random_povm_pair(seed=None) -> PovmPair:
     """
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, np.pi / 2.0, size=2)
-    u1 = _haar_unitary(rng)
-    u2 = _haar_unitary(rng)
-    v = _haar_unitary(rng)
+    u1 = random_unitary(rng)
+    u2 = random_unitary(rng)
+    v = random_unitary(rng)
     a1 = u1 @ np.diag(np.cos(theta)) @ v
     a2 = u2 @ np.diag(np.sin(theta)) @ v
     return PovmPair(a1, a2)

@@ -26,8 +26,10 @@ from .linalg import pfaffian
 from .plucker import gram_bilinear, gram_hermitian
 from .states import PureState
 
-# Orientation signs for the three square 4-qubit reshapes, fixed once so that
-# the determinant identity L + M + N = 0 holds; locked by a regression test.
+# The selections of the three square 4-qubit reshapes whose determinants are
+# L, M and N, and their orientation signs, fixed once so that the determinant
+# identity L + M + N = 0 holds; locked by a regression test.
+FOUR_QUBIT_LMN_SELECTIONS = ((3, 4), (2, 4), (1, 4))
 FOUR_QUBIT_LMN_SIGNS = (1.0, -1.0, 1.0)
 
 
@@ -120,15 +122,15 @@ def four_qubit_h(state: PureState) -> complex:
 def four_qubit_lmn(state: PureState) -> tuple[complex, complex, complex]:
     """The degree-4 invariants (L, M, N) of a 4-qubit state, with L + M + N = 0.
 
-    L, M, N are the determinants of the square reshapes selecting {3,4}, {2,4}
-    and {1,4}, multiplied by the fixed orientation signs
-    :data:`FOUR_QUBIT_LMN_SIGNS`; ``e_monotone`` of those partitions equals
-    16|L|, 16|M|, 16|N|.
+    L, M, N are the determinants of the square reshapes selecting
+    :data:`FOUR_QUBIT_LMN_SELECTIONS` ({3,4}, {2,4} and {1,4}), multiplied by
+    the fixed orientation signs :data:`FOUR_QUBIT_LMN_SIGNS`; ``e_monotone`` of
+    those partitions equals 16|L|, 16|M|, 16|N|.
     """
     if state.num_qubits != 4:
         raise ValueError(f"L/M/N are defined for 4 qubits, got {state.num_qubits}")
     values = []
-    for sign, selected in zip(FOUR_QUBIT_LMN_SIGNS, ((3, 4), (2, 4), (1, 4))):
+    for sign, selected in zip(FOUR_QUBIT_LMN_SIGNS, FOUR_QUBIT_LMN_SELECTIONS):
         z = reshape(state, Partition(4, selected))
         values.append(sign * complex(np.linalg.det(z)))
     return tuple(values)
@@ -193,11 +195,9 @@ def _aux_invariant(
     n_total = state.num_qubits
     if n_total == 4 and partition.selected == (4,):
         return "H", four_qubit_h(state)
-    if n_total == 4 and partition.n == 2:
-        by_selection = {(3, 4): ("L", 0), (2, 4): ("M", 1), (1, 4): ("N", 2)}
-        if partition.selected in by_selection:
-            name, idx = by_selection[partition.selected]
-            return name, four_qubit_lmn(state)[idx]
+    if n_total == 4 and partition.selected in FOUR_QUBIT_LMN_SELECTIONS:
+        idx = FOUR_QUBIT_LMN_SELECTIONS.index(partition.selected)
+        return "LMN"[idx], four_qubit_lmn(state)[idx]
     if n_total == 5 and partition.n == 2:
         return "pfaffian", _pfaffian_value(z, factor, partition)
     return None, None

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 NORM_TOL = 1e-10
+# Largest register make_named_state builds: 2**26 complex amplitudes are 1 GiB.
+MAX_QUBITS = 26
 
 NAMED_STATES = ("ghz", "w", "bell", "product-zero", "haar-random")
 
@@ -78,6 +80,8 @@ def make_named_state(name: str, num_qubits: int, seed=None) -> PureState:
     n = num_qubits
     if n < 1:
         raise ValueError(f"num_qubits must be >= 1, got {n}")
+    if n > MAX_QUBITS:
+        raise ValueError(f"num_qubits must be <= {MAX_QUBITS}, got {n}")
     if name == "ghz":
         amps = np.zeros(2**n, dtype=complex)
         amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
@@ -116,7 +120,8 @@ def normalize(state: PureState) -> PureState:
     return PureState(state.num_qubits, state.amplitudes / nrm)
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """A float with 17 significant digits, enough to round-trip exactly."""
     return f"{x:.17g}"
 
 
@@ -126,7 +131,7 @@ def serialize_state(state: PureState) -> str:
     last = len(state.amplitudes) - 1
     for i, a in enumerate(state.amplitudes):
         sep = "" if i == last else ","
-        lines.append(f"    [{_fmt(a.real)}, {_fmt(a.imag)}]{sep}")
+        lines.append(f"    [{format_float(a.real)}, {format_float(a.imag)}]{sep}")
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -140,6 +145,8 @@ def parse_state(text: str) -> PureState:
         raise StateParseError(f"invalid document: {exc.msg}", position=exc.pos) from exc
     except ValueError as exc:  # e.g. an integer past the int-string digit limit
         raise StateParseError(f"invalid document: {exc}") from exc
+    except RecursionError:
+        raise StateParseError("invalid document: nested too deeply") from None
     if not isinstance(doc, dict):
         raise StateParseError("top-level value must be an object")
     if "n_qubits" not in doc or "amplitudes" not in doc:

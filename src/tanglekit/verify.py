@@ -8,9 +8,8 @@ by 1 at unit norm are measured against ``max(|a|, |b|, 1)``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -18,14 +17,15 @@ from .bipartition import Partition, epsilon_apply, epsilon_matrix, reshape, unre
 from .linalg import maximal_minors, pfaffian
 from .local_ops import (
     LocalOperator,
-    _ginibre,
-    _haar_unitary,
     apply_local,
+    ginibre,
     monotonicity_trial,
     random_povm_pair,
     random_sl2,
+    random_unitary,
 )
 from .monotones import (
+    FOUR_QUBIT_LMN_SELECTIONS,
     admissible_partitions,
     d_monotone,
     e_monotone,
@@ -40,18 +40,6 @@ from .plucker import (
     plucker_relation_residual,
 )
 from .states import PureState, random_state
-
-SUITE_NAMES = (
-    "plucker",
-    "cauchy-binet",
-    "lu",
-    "slocc",
-    "permutation",
-    "monotonicity",
-    "lmn",
-    "pfaffian",
-    "all",
-)
 
 # Explicit 4 x 4 and 8 x 8 forms of the bilinear metric, frozen as the ground
 # truth the implicit implementation must reproduce entry for entry.
@@ -86,8 +74,18 @@ def _result(name: str, tol: float, residual: float, trials: int) -> CheckResult:
     return CheckResult(name, tol, residual, trials, residual <= tol)
 
 
-def _rel(a: float, b: float) -> float:
+def _rel(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1.0)
+
+
+def _random_states(trials: int, rng: np.random.Generator) -> Iterator[tuple]:
+    """Per trial, a Haar state on 2, 3, 4, 5, 2, ... qubits and its partitions.
+
+    Drawn lazily, so a check's own draws between trials keep their stream order.
+    """
+    for t in range(trials):
+        n_qubits = 2 + t % 4
+        yield random_state(n_qubits, seed=rng), admissible_partitions(n_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +95,7 @@ def _rel(a: float, b: float) -> float:
 def check_plucker_relation(trials: int, rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for _ in range(trials):
-        p = plucker_coordinates(_ginibre(rng, (4, 2)))
+        p = plucker_coordinates(ginibre(rng, (4, 2)))
         worst = max(worst, plucker_relation_residual(p))
     return _result("plucker-relation", 1e-12, worst, trials)
 
@@ -107,8 +105,8 @@ def check_gauge_covariance(trials: int, rng: np.random.Generator) -> CheckResult
     worst = 0.0
     for t in range(trials):
         rows, cols = shapes[t % len(shapes)]
-        z = _ginibre(rng, (rows, cols))
-        s = _ginibre(rng, (cols, cols))
+        z = ginibre(rng, (rows, cols))
+        s = ginibre(rng, (cols, cols))
         left = plucker_coordinates(gauge_transform(z, s)).coords
         right = complex(np.linalg.det(s)) * plucker_coordinates(z).coords
         scale = max(1.0, float(np.abs(right).max()))
@@ -136,10 +134,8 @@ def _minor_sum_bilinear(z: np.ndarray, m: int) -> complex:
 def check_cauchy_binet_hermitian(trials: int, rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     count = 0
-    for t in range(trials):
-        n_qubits = 2 + t % 4
-        state = random_state(n_qubits, seed=rng)
-        for part in admissible_partitions(n_qubits):
+    for state, partitions in _random_states(trials, rng):
+        for part in partitions:
             z = reshape(state, part)
             gram_path = float(np.linalg.det(gram_hermitian(z)).real)
             minor_path = _minor_sum_hermitian(z)
@@ -151,28 +147,24 @@ def check_cauchy_binet_hermitian(trials: int, rng: np.random.Generator) -> Check
 def check_cauchy_binet_bilinear(trials: int, rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     count = 0
-    for t in range(trials):
-        n_qubits = 2 + t % 4
-        state = random_state(n_qubits, seed=rng)
-        for part in admissible_partitions(n_qubits):
+    for state, partitions in _random_states(trials, rng):
+        for part in partitions:
             z = reshape(state, part)
             gram_path = complex(np.linalg.det(gram_bilinear(z, part.m)))
             minor_path = _minor_sum_bilinear(z, part.m)
-            worst = max(worst, float(abs(gram_path - minor_path))
-                        / max(abs(gram_path), abs(minor_path), 1.0))
+            worst = max(worst, _rel(gram_path, minor_path))
             count += 1
     return _result("cauchy-binet-bilinear", 1e-10, worst, count)
 
 
 def check_epsilon_form(trials: int, rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    if not np.array_equal(epsilon_matrix(2), EPSILON_FORM_4):
-        worst = max(worst, float(np.abs(epsilon_matrix(2) - EPSILON_FORM_4).max()))
-    if not np.array_equal(epsilon_matrix(3), EPSILON_FORM_8):
-        worst = max(worst, float(np.abs(epsilon_matrix(3) - EPSILON_FORM_8).max()))
+    worst = max(
+        float(np.abs(epsilon_matrix(2) - EPSILON_FORM_4).max()),
+        float(np.abs(epsilon_matrix(3) - EPSILON_FORM_8).max()),
+    )
     for t in range(trials):
         m = 1 + t % 4
-        v = _ginibre(rng, 2**m)
+        v = ginibre(rng, 2**m)
         # implicit application vs materialized matrix, and the involution sign
         worst = max(worst, float(np.abs(epsilon_apply(m, v) - epsilon_matrix(m) @ v).max()))
         worst = max(
@@ -186,52 +178,49 @@ def check_epsilon_form(trials: int, rng: np.random.Generator) -> CheckResult:
 # lu / slocc invariance
 
 
-def check_lu_single_qubit(trials: int, rng: np.random.Generator) -> CheckResult:
+def _local_invariance(
+    name: str, tol: float, sample, mono, trials: int, rng: np.random.Generator
+) -> CheckResult:
+    # ``mono`` before and after one ``sample(rng)`` operator on every qubit.
     worst = 0.0
-    for t in range(trials):
-        n_qubits = 2 + t % 4
-        state = random_state(n_qubits, seed=rng)
-        ops = [LocalOperator(q, _haar_unitary(rng)) for q in range(1, n_qubits + 1)]
-        rotated = apply_local(state, ops)
-        for part in admissible_partitions(n_qubits):
-            worst = max(worst, _rel(d_monotone(state, part), d_monotone(rotated, part)))
-    return _result("lu-single-qubit", 1e-10, worst, trials)
+    for state, partitions in _random_states(trials, rng):
+        ops = [LocalOperator(q, sample(rng)) for q in range(1, state.num_qubits + 1)]
+        moved = apply_local(state, ops)
+        for part in partitions:
+            worst = max(worst, _rel(mono(state, part), mono(moved, part)))
+    return _result(name, tol, worst, trials)
+
+
+def check_lu_single_qubit(trials: int, rng: np.random.Generator) -> CheckResult:
+    return _local_invariance(
+        "lu-single-qubit", 1e-10, random_unitary, d_monotone, trials, rng
+    )
 
 
 def check_lu_selected_block(trials: int, rng: np.random.Generator) -> CheckResult:
     # D is invariant under any unitary mixing of the full selected block, not
     # just per-qubit factors.
     worst = 0.0
-    for t in range(trials):
-        n_qubits = 2 + t % 4
-        state = random_state(n_qubits, seed=rng)
-        for part in admissible_partitions(n_qubits):
-            u = _haar_unitary(rng, part.l)
+    for state, partitions in _random_states(trials, rng):
+        for part in partitions:
+            u = random_unitary(rng, part.l)
             mixed = unreshape(reshape(state, part) @ u.T, part)
             worst = max(worst, _rel(d_monotone(state, part), d_monotone(mixed, part)))
     return _result("lu-selected-block", 1e-10, worst, trials)
 
 
 def check_slocc_invariance(trials: int, rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    for t in range(trials):
-        n_qubits = 2 + t % 4
-        state = random_state(n_qubits, seed=rng)
-        ops = [LocalOperator(q, random_sl2(rng)) for q in range(1, n_qubits + 1)]
-        transformed = apply_local(state, ops)
-        for part in admissible_partitions(n_qubits):
-            worst = max(worst, _rel(e_monotone(state, part), e_monotone(transformed, part)))
-    return _result("slocc-invariance", 1e-8, worst, trials)
+    return _local_invariance(
+        "slocc-invariance", 1e-8, random_sl2, e_monotone, trials, rng
+    )
 
 
 def check_homogeneity(trials: int, rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for t in range(trials):
-        n_qubits = 2 + t % 4
-        state = random_state(n_qubits, seed=rng)
+    for state, partitions in _random_states(trials, rng):
         c = complex(*rng.uniform(0.5, 1.5, size=2))
-        scaled = PureState(n_qubits, c * state.amplitudes)
-        for part in admissible_partitions(n_qubits):
+        scaled = PureState(state.num_qubits, c * state.amplitudes)
+        for part in partitions:
             for mono in (d_monotone, e_monotone):
                 worst = max(
                     worst, _rel(mono(scaled, part), abs(c) ** 4 * mono(state, part))
@@ -241,10 +230,8 @@ def check_homogeneity(trials: int, rng: np.random.Generator) -> CheckResult:
 
 def check_range_ordering(trials: int, rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for t in range(trials):
-        n_qubits = 2 + t % 4
-        state = random_state(n_qubits, seed=rng)
-        for part in admissible_partitions(n_qubits):
+    for state, partitions in _random_states(trials, rng):
+        for part in partitions:
             d = d_monotone(state, part)
             e = e_monotone(state, part)
             worst = max(worst, -e, e - d, d - 1.0)
@@ -255,22 +242,24 @@ def check_range_ordering(trials: int, rng: np.random.Generator) -> CheckResult:
 # permutation equalities
 
 
-def check_permutation_three_tangle(trials: int, rng: np.random.Generator) -> CheckResult:
+def _single_qubit_spread(
+    name: str, n: int, trials: int, rng: np.random.Generator
+) -> CheckResult:
+    # Spread of E over the n single-qubit partitions of one n-qubit state.
     worst = 0.0
     for _ in range(trials):
-        state = random_state(3, seed=rng)
-        values = [e_monotone(state, Partition(3, (k,))) for k in (1, 2, 3)]
+        state = random_state(n, seed=rng)
+        values = [e_monotone(state, Partition(n, (k,))) for k in range(1, n + 1)]
         worst = max(worst, max(values) - min(values))
-    return _result("permutation-three-tangle", 1e-10, worst, trials)
+    return _result(name, 1e-10, worst, trials)
+
+
+def check_permutation_three_tangle(trials: int, rng: np.random.Generator) -> CheckResult:
+    return _single_qubit_spread("permutation-three-tangle", 3, trials, rng)
 
 
 def check_permutation_four_qubit(trials: int, rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    for _ in range(trials):
-        state = random_state(4, seed=rng)
-        values = [e_monotone(state, Partition(4, (k,))) for k in (1, 2, 3, 4)]
-        worst = max(worst, max(values) - min(values))
-    return _result("permutation-four-qubit", 1e-10, worst, trials)
+    return _single_qubit_spread("permutation-four-qubit", 4, trials, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +302,7 @@ def check_lmn_monotone_match(trials: int, rng: np.random.Generator) -> CheckResu
     for _ in range(trials):
         state = random_state(4, seed=rng)
         values = four_qubit_lmn(state)
-        for value, selected in zip(values, ((3, 4), (2, 4), (1, 4))):
+        for value, selected in zip(values, FOUR_QUBIT_LMN_SELECTIONS):
             e = e_monotone(state, Partition(4, selected))
             worst = max(worst, _rel(16.0 * abs(value), e))
     return _result("lmn-monotone-match", 1e-10, worst, trials)
@@ -327,7 +316,7 @@ def check_pfaffian_square(trials: int, rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for t in range(trials):
         dim = 4 if t % 2 == 0 else 6
-        a = _ginibre(rng, (dim, dim))
+        a = ginibre(rng, (dim, dim))
         a = a - a.T
         pf = pfaffian(a)
         det = complex(np.linalg.det(a))
@@ -365,14 +354,13 @@ _SUITE_CHECKS: dict[str, list[Callable[[int, np.random.Generator], CheckResult]]
     "lmn": [check_lmn_sum, check_lmn_monotone_match],
     "pfaffian": [check_pfaffian_square, check_pfaffian_five_qubit],
 }
+SUITE_NAMES = (*_SUITE_CHECKS, "all")
 
 
 def run_suite(suite: str, trials: int = 100, seed: int = 0) -> list[CheckResult]:
     """Run one named suite (or ``"all"``) and return per-property results."""
     if suite == "all":
-        checks = list(
-            itertools.chain.from_iterable(_SUITE_CHECKS[name] for name in _SUITE_CHECKS)
-        )
+        checks = [fn for fns in _SUITE_CHECKS.values() for fn in fns]
     elif suite in _SUITE_CHECKS:
         checks = _SUITE_CHECKS[suite]
     else:

@@ -137,6 +137,10 @@ def test_epsilon_apply_matches_materialized():
     for m in range(1, 6):
         v = _cvec(rng, 2**m)
         assert np.abs(epsilon_apply(m, v) - epsilon_matrix(m) @ v).max() < 1e-15
+    # an L x l matrix is transformed column by column
+    for m in range(1, 5):
+        z = np.stack([_cvec(rng, 2**m) for _ in range(3)], axis=1)
+        assert np.abs(epsilon_apply(m, z) - epsilon_matrix(m) @ z).max() < 1e-15
 
 
 def test_epsilon_apply_involution_sign():
@@ -150,6 +154,10 @@ def test_epsilon_apply_involution_sign():
 def test_epsilon_apply_rejects_wrong_length():
     with pytest.raises(ValueError):
         epsilon_apply(2, [1.0, 2.0])
+    with pytest.raises(ValueError):
+        epsilon_apply(2, np.zeros((4, 2, 2)))
+    with pytest.raises(ValueError):
+        epsilon_apply(2, np.zeros((8, 2)))
 
 
 def test_parity_signs_pattern():

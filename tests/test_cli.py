@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tanglekit.cli as cli
-from tanglekit.states import make_named_state, parse_state, save_state
+from tanglekit.states import MAX_QUBITS, make_named_state, parse_state, save_state
 from tanglekit.verify import CheckResult
 
 
@@ -55,6 +55,14 @@ def test_gen_unknown_name_exits_2(capsys):
 def test_gen_nonpositive_size_exits_2(capsys):
     assert run_cli(capsys, "gen", "ghz", "-1")[0] == 2
     assert run_cli(capsys, "gen", "ghz", "0")[0] == 2
+
+
+def test_gen_oversized_register_exits_2(capsys):
+    # 2**40 amplitudes: rejected before anything is allocated.
+    for name in ("ghz", "haar-random"):
+        code, stdout, stderr = run_cli(capsys, "gen", name, "40")
+        assert code == 2 and stdout == "", name
+        assert stderr.startswith("error: ") and f"<= {MAX_QUBITS}" in stderr, name
 
 
 def test_verify_negative_seed_exits_2(capsys):
@@ -131,6 +139,7 @@ MALFORMED_FILES = {
     "401-digit-int": _amplitude_document("9" * 401),
     "5000-digit-int": _amplitude_document("9" * 5000),
     "not-utf8": b'{"n_qubits": 1, "amplitudes": [[1, 0], [0, 0]]} \xe9\xff',
+    "deeply-nested": b"[" * 100000 + b"]" * 100000,
 }
 
 

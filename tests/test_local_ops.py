@@ -10,7 +10,7 @@ from tanglekit.local_ops import (
     povm_branches,
     random_povm_pair,
     random_sl2,
-    random_u2,
+    random_unitary,
 )
 from tanglekit.monotones import d_monotone, three_tangle
 from tanglekit.states import make_named_state, random_state
@@ -36,7 +36,7 @@ def test_random_sl2_norm_bound():
 
 def test_random_u2_unitary():
     for seed in range(50):
-        u = random_u2(seed)
+        u = random_unitary(seed)
         assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-12
         assert abs(abs(np.linalg.det(u)) - 1.0) <= 1e-12
 
@@ -44,7 +44,7 @@ def test_random_u2_unitary():
 def test_random_u2_isotropy_smoke():
     # first-column second moment of a Haar unitary is 1/2 per entry
     rng = np.random.default_rng(1)
-    mean = np.mean([abs(random_u2(rng)[0, 0]) ** 2 for _ in range(2000)])
+    mean = np.mean([abs(random_unitary(rng)[0, 0]) ** 2 for _ in range(2000)])
     assert abs(mean - 0.5) < 0.03
 
 
@@ -127,7 +127,7 @@ def test_balanced_identity_povm_branches_proportional():
 
 def test_balanced_unitary_povm_preserves_monotone():
     # both outcomes act as (scaled) unitaries, so the average equals the input
-    pair = PovmPair(random_u2(8) / np.sqrt(2), random_u2(9) / np.sqrt(2))
+    pair = PovmPair(random_unitary(8) / np.sqrt(2), random_unitary(9) / np.sqrt(2))
     state = random_state(3, seed=10)
     before, after = monotonicity_trial(state, 2, pair, "e", Partition(3, (3,)))
     assert abs(after - before) <= 1e-10
@@ -173,7 +173,7 @@ def test_monotonicity_random_suite():
 def test_d_monotone_invariant_under_unitaries():
     state = random_state(4, seed=12)
     rng = np.random.default_rng(13)
-    ops = [LocalOperator(q, random_u2(rng)) for q in range(1, 5)]
+    ops = [LocalOperator(q, random_unitary(rng)) for q in range(1, 5)]
     rotated = apply_local(state, ops)
     for selected in [(4,), (2, 4)]:
         part = Partition(4, selected)

@@ -5,6 +5,20 @@ from tanglekit.verify import SUITE_NAMES, run_suite
 NAMED_SUITES = [name for name in SUITE_NAMES if name != "all"]
 
 
+def test_suite_names_are_the_cli_choices():
+    assert SUITE_NAMES == (
+        "plucker",
+        "cauchy-binet",
+        "lu",
+        "slocc",
+        "permutation",
+        "monotonicity",
+        "lmn",
+        "pfaffian",
+        "all",
+    )
+
+
 @pytest.mark.parametrize("suite", NAMED_SUITES)
 def test_named_suites_pass(suite):
     results = run_suite(suite, trials=10, seed=0)
