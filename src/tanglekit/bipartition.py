@@ -21,7 +21,7 @@ Conventions (these fix every identity downstream):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -119,11 +119,18 @@ def unreshape(z: np.ndarray, partition: Partition) -> PureState:
     return PureState(n_total, tensor.reshape(-1))
 
 
+@cache
 def parity_signs(m: int) -> np.ndarray:
-    """(-1)**popcount(i) for i in range(2**m)."""
+    """(-1)**popcount(i) for i in range(2**m), built once per m and read-only.
+
+    The table depends only on m, so every partition with m unselected qubits
+    shares one copy, at most a quarter of the bytes of a state that uses it.
+    """
     if m < 0:
         raise ValueError("m must be >= 0")
-    return reduce(np.kron, [np.array([1.0, -1.0])] * m, np.array([1.0]))
+    signs = reduce(np.kron, [np.array([1.0, -1.0])] * m, np.array([1.0]))
+    signs.flags.writeable = False
+    return signs
 
 
 def epsilon_apply(m: int, v) -> np.ndarray:

@@ -88,12 +88,17 @@ def _render_csv(reports: list[InvariantReport], monotone: str) -> str:
     return buf.getvalue()
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(text: str, path: str | None) -> int:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return EXIT_OK
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def cmd_compute(args) -> int:
@@ -120,8 +125,7 @@ def cmd_compute(args) -> int:
         text = _render_json(state.num_qubits, reports, args.monotone)
     else:
         text = _render_csv(reports, args.monotone)
-    _write_output(text, args.output)
-    return EXIT_OK
+    return _write_output(text, args.output)
 
 
 def cmd_gen(args) -> int:
@@ -130,8 +134,7 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write_output(serialize_state(state), args.output)
-    return EXIT_OK
+    return _write_output(serialize_state(state), args.output)
 
 
 def cmd_verify(args) -> int:

@@ -69,8 +69,6 @@ def maximal_minors(matrix) -> list[tuple[tuple[int, ...], complex]]:
     rows, cols = z.shape
     if rows < cols:
         raise ValueError(f"maximal_minors needs rows >= cols, got shape {z.shape}")
-    out = []
-    for members in itertools.combinations(range(rows), cols):
-        sub = z[members, :]
-        out.append((members, complex(np.linalg.det(sub))))
-    return out
+    members = list(itertools.combinations(range(rows), cols))
+    minors = np.linalg.det(z[np.array(members, dtype=np.intp)])
+    return [(combo, complex(minor)) for combo, minor in zip(members, minors)]

@@ -24,13 +24,16 @@ import numpy as np
 from .bipartition import Partition, reshape
 from .linalg import pfaffian
 from .plucker import gram_bilinear, gram_hermitian
-from .states import PureState
+from .states import MAX_QUBITS, PureState
 
 # The selections of the three square 4-qubit reshapes whose determinants are
 # L, M and N, and their orientation signs, fixed once so that the determinant
 # identity L + M + N = 0 holds; locked by a regression test.
 FOUR_QUBIT_LMN_SELECTIONS = ((3, 4), (2, 4), (1, 4))
 FOUR_QUBIT_LMN_SIGNS = (1.0, -1.0, 1.0)
+# Diagonal shift of the unit-trace Gram matrix in the full-rank check; see
+# _surely_full_rank for why it exceeds the round-off of any accepted size.
+_FULL_RANK_SHIFT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,11 @@ def _scaled(z: np.ndarray) -> tuple[np.ndarray, float]:
     return z / scale, scale**4
 
 
-def _d_value(z: np.ndarray, factor: float, partition: Partition) -> float:
+def _d_value(gram: np.ndarray, factor: float, partition: Partition) -> float:
+    """D from the Hermitian Gram matrix of the scaled reshape."""
     if factor == 0.0:
         return 0.0
-    det = float(np.linalg.det(gram_hermitian(z)).real)
+    det = float(np.linalg.det(gram).real)
     return factor * partition.l**2 * max(det, 0.0) ** (2.0 / partition.l)
 
 
@@ -75,7 +79,8 @@ def _pfaffian_value(z: np.ndarray, factor: float, partition: Partition) -> compl
 
 def d_monotone(state: PureState, partition: Partition) -> float:
     """LU monotone ``l**2 * det(Z^dag Z)**(2/l)``; in [0, 1] at unit norm."""
-    return _d_value(*_scaled(reshape(state, partition)), partition)
+    z, factor = _scaled(reshape(state, partition))
+    return _d_value(gram_hermitian(z), factor, partition)
 
 
 def e_monotone(state: PureState, partition: Partition) -> float:
@@ -203,21 +208,57 @@ def _aux_invariant(
     return None, None
 
 
+def _surely_full_rank(gram: np.ndarray, factor: float, partition: Partition) -> bool:
+    """True only if ``np.linalg.matrix_rank`` of the reshape is l.
+
+    ``gram`` is the Hermitian Gram matrix G of the unit-Frobenius reshape Z, so
+    tr G = 1 and sigma_max(Z) <= 1.  False means "not settled": the caller asks
+    the SVD.  Why a Cholesky factorization of ``G - s I`` that completes
+    settles it, with u = 2**-53 and s = _FULL_RANK_SHIFT:
+
+    * ``matrix_rank`` counts the singular values above max(L, l) eps sigma_max.
+      That cut is relative, so scaling Z changes nothing, and for at most
+      MAX_QUBITS = 26 qubits (l <= 2**13, L <= 2**25) it is below
+      2**25 * 2**-52 < 7.5e-9.
+    * Gram round-off: the computed G is Z^H Z + E1 with ||E1|| <~ sqrt(2) L u
+      (complex dot products of length L whose terms add up to tr G = 1).
+    * Cholesky backward error (Higham, *Accuracy and Stability of Numerical
+      Algorithms*, Thm. 10.3): a factorization of A = G - s I that completes
+      gives R with R^H R = A + E2, |E2| <= gamma_(l+1) |R^H| |R|.  By
+      Cauchy-Schwarz on the columns of R, ||E2|| <= gamma_(l+1) tr(R^H R),
+      so ||E2|| <~ sqrt(2) (l + 1) u, far below even the cruder l**2 u.
+    * R^H R is positive definite, so lambda_min(Z^H Z) > s - sqrt(2) (L + l + 3) u
+      > 1e-8 - 6e-9, i.e. sigma_min(Z) > 6e-5: four orders of magnitude above
+      the cut and the SVD's own error, which is a small multiple of it.
+    """
+    if factor == 0.0 or partition.num_qubits > MAX_QUBITS:
+        return False
+    try:
+        np.linalg.cholesky(gram - _FULL_RANK_SHIFT * np.eye(partition.l))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def partition_report(state: PureState, partition: Partition) -> InvariantReport:
     """Monotone values, named auxiliary invariant, and rank flag for one partition.
 
-    The partition is reshaped once; the rank is taken of the unscaled reshape.
+    The partition is reshaped once and its Hermitian Gram matrix formed once.
+    The rank flag comes from a Cholesky check of that Gram matrix when it
+    certifies full rank, else from the SVD rank of the unscaled reshape.
     """
     z = reshape(state, partition)
     scaled, factor = _scaled(z)
+    gram = gram_hermitian(scaled)
     aux_name, aux_value = _aux_invariant(state, partition, scaled, factor)
     return InvariantReport(
         partition=partition,
-        d_value=_d_value(scaled, factor, partition),
+        d_value=_d_value(gram, factor, partition),
         e_value=_e_value(scaled, factor, partition),
         aux_name=aux_name,
         aux_value=aux_value,
-        rank_deficient=bool(np.linalg.matrix_rank(z) < partition.l),
+        rank_deficient=not _surely_full_rank(gram, factor, partition)
+        and bool(np.linalg.matrix_rank(z) < partition.l),
     )
 
 

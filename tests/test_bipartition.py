@@ -165,6 +165,19 @@ def test_parity_signs_pattern():
     assert np.array_equal(parity_signs(0), [1.0])
 
 
+def test_parity_signs_is_one_read_only_table_per_m():
+    for m in range(11):
+        table = parity_signs(m)
+        assert parity_signs(m) is table
+        expected = np.array([1.0])
+        for _ in range(m):
+            expected = np.kron(expected, [1.0, -1.0])
+        assert table.dtype == expected.dtype and np.array_equal(table, expected)
+        with pytest.raises(ValueError):
+            table[0] = 7.0
+        assert table[0] == 1.0
+
+
 def test_bilinear_self_pairing_vanishes_for_odd_m():
     rng = np.random.default_rng(40)
     for m in (1, 3):

@@ -180,6 +180,18 @@ def test_compute_requires_partition_choice(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    state = tmp_path / "ghz3.json"
+    save_state(make_named_state("ghz", 3), state)
+    compute = ("compute", "--state", str(state), "--all-partitions", "-o")
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        for argv in (("gen", "ghz", "3", "-o"), compute):
+            code, stdout, stderr = run_cli(capsys, *argv, str(target))
+            assert code == 2 and stdout == "", (argv[0], target)
+            assert stderr.startswith("error: cannot write output file: "), (argv[0], target)
+    assert not (tmp_path / "missing").exists()
+
+
 def test_verify_suite_passes(capsys):
     code, stdout, _ = run_cli(capsys, "verify", "plucker", "--trials", "5")
     assert code == 0

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tanglekit.bipartition import Partition
+from tanglekit.bipartition import Partition, reshape, unreshape
 from tanglekit.monotones import (
     FOUR_QUBIT_LMN_SIGNS,
     admissible_partitions,
@@ -302,6 +304,64 @@ def test_report_values_match_monotone_calls():
         assert report.rank_deficient
         if report.partition.n == 2:
             assert report.aux_name == "pfaffian" and report.aux_value == 0j
+
+
+def _rank_flag_states(n):
+    """Haar, GHZ, W, zero, unnormalized, product+ε and GHZ+ε·Haar states."""
+    haar = random_state(n, seed=230 + n)
+    ghz = make_named_state("ghz", n).amplitudes
+    product = make_named_state("product-zero", n).amplitudes
+    yield haar
+    yield make_named_state("ghz", n)
+    yield make_named_state("w", n)
+    yield PureState(n, np.zeros(2**n))
+    yield PureState(n, 37.5 * haar.amplitudes)
+    for k in range(2, 17, 2):
+        noise = random_state(n, seed=1000 * n + k).amplitudes
+        yield PureState(n, product + 10.0**-k * noise)
+        yield PureState(n, ghz + 10.0**-k * noise)
+
+
+def test_rank_flag_matches_svd_rank_on_state_families():
+    # The report's Cholesky shortcut may only ever agree with the SVD rank.
+    deficient = 0
+    for n in range(2, 9):
+        for state in _rank_flag_states(n):
+            for report in all_partitions_report(state):
+                part = report.partition
+                svd_says = bool(np.linalg.matrix_rank(reshape(state, part)) < part.l)
+                assert report.rank_deficient == svd_says, (n, part.label)
+                deficient += svd_says
+    assert deficient > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    pick=st.integers(0, 10**6),
+    rank=st.integers(0, 16),
+    log_eps=st.floats(-17.0, -1.0),
+    log_scale=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_flag_matches_svd_rank_near_rank_deficiency(
+    n, pick, rank, log_eps, log_scale, seed
+):
+    parts = admissible_partitions(n)
+    part = parts[pick % len(parts)]
+    rank = min(rank, part.l)
+    rng = np.random.default_rng(seed)
+
+    def gaussian(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    z = gaussian((part.L, rank)) @ gaussian((rank, part.l))
+    z /= np.linalg.norm(z) or 1.0
+    noise = gaussian((part.L, part.l))
+    z += 10.0**log_eps * noise / np.linalg.norm(noise)
+    state = unreshape(10.0**log_scale * z, part)
+    svd_says = bool(np.linalg.matrix_rank(reshape(state, part)) < part.l)
+    assert partition_report(state, part).rank_deficient == svd_says
 
 
 def test_range_and_ordering_on_normalized_states():
