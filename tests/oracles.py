@@ -131,3 +131,14 @@ def spin_flip_matrix(m: int) -> np.ndarray:
     for _ in range(m):
         out = np.kron(out, sy)
     return out
+
+
+def serialize_state_lines(state) -> str:
+    """The JSON state document, one f-string per amplitude line."""
+    lines = ["{", f'  "n_qubits": {state.num_qubits},', '  "amplitudes": [']
+    last = len(state.amplitudes) - 1
+    for i, a in enumerate(state.amplitudes):
+        sep = "" if i == last else ","
+        lines.append(f"    [{float(a.real):.17g}, {float(a.imag):.17g}]{sep}")
+    lines += ["  ]", "}"]
+    return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,10 @@ import pytest
 import tanglekit.cli as cli
 from tanglekit.states import MAX_QUBITS, make_named_state, parse_state, save_state
 from tanglekit.verify import CheckResult
+
+# data/haar5-seed7.state.json is `tanglekit gen haar-random 5 --seed 7` as
+# written by the per-amplitude serializer that oracles.serialize_state_lines keeps.
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +43,12 @@ def test_gen_seeded_is_byte_identical(tmp_path, capsys):
     assert run_cli(capsys, "gen", "haar-random", "5", "--seed", "7", "-o", str(a))[0] == 0
     assert run_cli(capsys, "gen", "haar-random", "5", "--seed", "7", "-o", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_matches_committed_state_file(tmp_path, capsys):
+    out = tmp_path / "haar5.json"
+    assert run_cli(capsys, "gen", "haar-random", "5", "--seed", "7", "-o", str(out))[0] == 0
+    assert out.read_bytes() == (DATA / "haar5-seed7.state.json").read_bytes()
 
 
 def test_gen_invalid_combination_exits_2(capsys):
@@ -140,6 +151,7 @@ MALFORMED_FILES = {
     "5000-digit-int": _amplitude_document("9" * 5000),
     "not-utf8": b'{"n_qubits": 1, "amplitudes": [[1, 0], [0, 0]]} \xe9\xff',
     "deeply-nested": b"[" * 100000 + b"]" * 100000,
+    "n-qubits-100000": b'{"n_qubits": 100000, "amplitudes": []}',
 }
 
 

@@ -1,5 +1,9 @@
+import json
+import re
+
 import numpy as np
 import pytest
+from oracles import serialize_state_lines
 
 from tanglekit.states import (
     PureState,
@@ -163,6 +167,58 @@ def test_parse_rejects_bad_fields():
         parse_state('{"n_qubits": 1, "amplitudes": [[1, 0], [0, true]]}')
     with pytest.raises(StateParseError):
         parse_state('[1, 2]')
+    for n_qubits in (27, 100000):
+        doc = f'{{"n_qubits": {n_qubits}, "amplitudes": []}}'
+        with pytest.raises(StateParseError, match=f"^'n_qubits' must be <= 26, got {n_qubits}$"):
+            parse_state(doc)
+    # A bad pair at index 5 of 8 is named by its index.
+    bad_pairs = {
+        "[true, 0]": "expected a [re, im] number pair",
+        "[1]": "expected a [re, im] number pair",
+        "[1, 2, 3]": "expected a [re, im] number pair",
+        '"1, 0"': "expected a [re, im] number pair",
+        "null": "expected a [re, im] number pair",
+        '{"re": 1, "im": 0}': "expected a [re, im] number pair",
+        "[[1, 0], 0]": "expected a [re, im] number pair",
+        f"[0, {10**400}]": "value out of range",
+    }
+    for bad, message in bad_pairs.items():
+        pairs = ["[0, 0]"] * 8
+        pairs[5] = bad
+        doc = f'{{"n_qubits": 3, "amplitudes": [{", ".join(pairs)}]}}'
+        with pytest.raises(StateParseError, match=f"^amplitude 5: {re.escape(message)}$"):
+            parse_state(doc)
+    # The first bad pair is reported, whichever check it fails.
+    doc = f'{{"n_qubits": 2, "amplitudes": [[0, 0], [{10**400}, 0], [0], [0, 0]]}}'
+    with pytest.raises(StateParseError, match="^amplitude 1: value out of range$"):
+        parse_state(doc)
+
+
+def test_parse_large_integers_like_complex():
+    values = [2**53 + 1, 2**53 + 3, -(2**63) - 1, 2**64 + 1, 3**600, 2**1024 - 2**970 - 1]
+    pairs = [[values[i], values[-1 - i]] for i in range(4)]
+    state = parse_state(json.dumps({"n_qubits": 2, "amplitudes": pairs}))
+    expected = [complex(re_, im) for re_, im in pairs]
+    assert state.amplitudes.tolist() == expected
+
+
+def test_serialize_matches_per_amplitude_lines_across_blocks():
+    # 2**17 amplitudes span four blocks of 2**16 floats; the edge values sit at
+    # the ends of the array and across the first block boundary.
+    amps = random_state(17, seed=3).amplitudes.copy()
+    edge = [-0.0, 5e-324, 1.797e308, -1.797e308, 1e16, -5e-324, 0.0, 1.0]
+    flat = amps.view(np.float64)
+    for start in (0, 2**16 - 4, flat.size - len(edge)):
+        flat[start : start + len(edge)] = edge
+    state = PureState(17, amps)
+    text = serialize_state(state)
+    assert text == serialize_state_lines(state)
+    back = parse_state(text).amplitudes.view(np.float64)
+    # `-0` reads back as the JSON integer 0, so a zero loses its sign;
+    # every other component round-trips bit for bit.
+    nonzero = flat != 0
+    assert np.array_equal(back[nonzero].view(np.uint64), flat[nonzero].view(np.uint64))
+    assert np.all(back[~nonzero] == 0)
 
 
 def test_serialize_parse_round_trip_is_exact():
