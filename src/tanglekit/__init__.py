@@ -57,13 +57,11 @@ from .states import (
     NAMED_STATES,
     PureState,
     StateParseError,
-    amplitude_index,
     load_state,
     make_named_state,
     normalize,
     parse_state,
     random_state,
-    save_state,
     serialize_state,
 )
 from .verify import CheckResult, SUITE_NAMES, run_suite

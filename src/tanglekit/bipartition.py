@@ -20,6 +20,7 @@ Conventions (these fix every identity downstream):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache, reduce
 
@@ -38,7 +39,10 @@ class Partition:
     selected: tuple[int, ...]
 
     def __post_init__(self):
-        sel = tuple(int(k) for k in self.selected)
+        try:
+            sel = tuple(map(operator.index, self.selected))
+        except TypeError as exc:
+            raise ValueError(f"selected positions must be integers: {exc}") from None
         object.__setattr__(self, "selected", sel)
         n_total = self.num_qubits
         if len(sel) < 1:

@@ -59,16 +59,15 @@ def _pfaffian_expand(a: np.ndarray) -> complex:
     return complex(total)
 
 
-def maximal_minors(matrix) -> list[tuple[tuple[int, ...], complex]]:
-    """All maximal minors of a rows >= cols matrix.
+def maximal_minors(matrix) -> np.ndarray:
+    """All maximal minors of a rows >= cols matrix, as one complex array.
 
-    Returns one ``(row_combination, minor)`` pair per cols-sized row subset, in
-    :func:`itertools.combinations` order of the strictly increasing row tuples.
+    One minor per cols-sized row subset, in :func:`itertools.combinations`
+    order of the strictly increasing row tuples.
     """
     z = _as_matrix(matrix)
     rows, cols = z.shape
     if rows < cols:
         raise ValueError(f"maximal_minors needs rows >= cols, got shape {z.shape}")
     members = list(itertools.combinations(range(rows), cols))
-    minors = np.linalg.det(z[np.array(members, dtype=np.intp)])
-    return [(combo, complex(minor)) for combo, minor in zip(members, minors)]
+    return np.linalg.det(z[np.array(members, dtype=np.intp)])

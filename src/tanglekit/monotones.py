@@ -10,8 +10,8 @@ For a partition with ``L = 2**(N-n) >= l = 2**n`` and reshape ``Z``:
 Both are homogeneous of degree 4 in the amplitudes, so unnormalized states are
 accepted.  Each partition is reshaped once; :func:`_scaled` divides that
 reshape by its Frobenius norm, to keep the determinants well conditioned, and
-returns the exact ``|c|**4`` scale, which the private kernels
-(:func:`_d_value`, :func:`_e_value`, :func:`_pfaffian_value`) multiply back in.
+returns the exact ``|c|**4`` scale, which :func:`_d_value`, :func:`_e_value`
+and the Pfaffian multiply back in.
 """
 
 from __future__ import annotations
@@ -58,23 +58,14 @@ def _scaled(z: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _d_value(gram: np.ndarray, factor: float, partition: Partition) -> float:
     """D from the Hermitian Gram matrix of the scaled reshape."""
-    if factor == 0.0:
-        return 0.0
     det = float(np.linalg.det(gram).real)
     return factor * partition.l**2 * max(det, 0.0) ** (2.0 / partition.l)
 
 
-def _e_value(z: np.ndarray, factor: float, partition: Partition) -> float:
-    if factor == 0.0:
-        return 0.0
-    det = np.linalg.det(gram_bilinear(z, partition.m))
+def _e_value(gram: np.ndarray, factor: float, partition: Partition) -> float:
+    """E from the ε-bilinear Gram matrix of the scaled reshape."""
+    det = np.linalg.det(gram)
     return factor * partition.l**2 * float(abs(det)) ** (2.0 / partition.l)
-
-
-def _pfaffian_value(z: np.ndarray, factor: float, partition: Partition) -> complex:
-    if factor == 0.0:
-        return 0j
-    return factor * pfaffian(gram_bilinear(z, partition.m))
 
 
 def d_monotone(state: PureState, partition: Partition) -> float:
@@ -85,7 +76,8 @@ def d_monotone(state: PureState, partition: Partition) -> float:
 
 def e_monotone(state: PureState, partition: Partition) -> float:
     """SLOCC monotone ``l**2 * |det(Z^T g Z)|**(2/l)``; at most D at unit norm."""
-    return _e_value(*_scaled(reshape(state, partition)), partition)
+    z, factor = _scaled(reshape(state, partition))
+    return _e_value(gram_bilinear(z, partition.m), factor, partition)
 
 
 def concurrence_squared(state: PureState) -> float:
@@ -166,7 +158,8 @@ def five_qubit_pfaffian_monotone(state: PureState, partition: Partition) -> floa
         )
     if partition.n != 2:
         raise ValueError(f"the Pfaffian form needs n = 2, got n = {partition.n}")
-    return 16.0 * abs(_pfaffian_value(*_scaled(reshape(state, partition)), partition))
+    z, factor = _scaled(reshape(state, partition))
+    return 16.0 * abs(factor * pfaffian(gram_bilinear(z, partition.m)))
 
 
 def meyer_wallach_q(state: PureState) -> float:
@@ -195,7 +188,7 @@ def admissible_partitions(num_qubits: int) -> list[Partition]:
 
 
 def _aux_invariant(
-    state: PureState, partition: Partition, z: np.ndarray, factor: float
+    state: PureState, partition: Partition, bilinear_gram: np.ndarray, factor: float
 ):
     n_total = state.num_qubits
     if n_total == 4 and partition.selected == (4,):
@@ -204,11 +197,11 @@ def _aux_invariant(
         idx = FOUR_QUBIT_LMN_SELECTIONS.index(partition.selected)
         return "LMN"[idx], four_qubit_lmn(state)[idx]
     if n_total == 5 and partition.n == 2:
-        return "pfaffian", _pfaffian_value(z, factor, partition)
+        return "pfaffian", factor * pfaffian(bilinear_gram)
     return None, None
 
 
-def _surely_full_rank(gram: np.ndarray, factor: float, partition: Partition) -> bool:
+def _surely_full_rank(gram: np.ndarray, partition: Partition) -> bool:
     """True only if ``np.linalg.matrix_rank`` of the reshape is l.
 
     ``gram`` is the Hermitian Gram matrix G of the unit-Frobenius reshape Z, so
@@ -230,8 +223,9 @@ def _surely_full_rank(gram: np.ndarray, factor: float, partition: Partition) -> 
     * R^H R is positive definite, so lambda_min(Z^H Z) > s - sqrt(2) (L + l + 3) u
       > 1e-8 - 6e-9, i.e. sigma_min(Z) > 6e-5: four orders of magnitude above
       the cut and the SVD's own error, which is a small multiple of it.
+    * A zero reshape has G = 0, so the factorization fails and the SVD decides.
     """
-    if factor == 0.0 or partition.num_qubits > MAX_QUBITS:
+    if partition.num_qubits > MAX_QUBITS:
         return False
     try:
         np.linalg.cholesky(gram - _FULL_RANK_SHIFT * np.eye(partition.l))
@@ -243,21 +237,22 @@ def _surely_full_rank(gram: np.ndarray, factor: float, partition: Partition) -> 
 def partition_report(state: PureState, partition: Partition) -> InvariantReport:
     """Monotone values, named auxiliary invariant, and rank flag for one partition.
 
-    The partition is reshaped once and its Hermitian Gram matrix formed once.
-    The rank flag comes from a Cholesky check of that Gram matrix when it
+    The partition is reshaped once and each Gram matrix formed once.  The
+    rank flag comes from a Cholesky check of the Hermitian one when it
     certifies full rank, else from the SVD rank of the unscaled reshape.
     """
     z = reshape(state, partition)
     scaled, factor = _scaled(z)
     gram = gram_hermitian(scaled)
-    aux_name, aux_value = _aux_invariant(state, partition, scaled, factor)
+    bilinear_gram = gram_bilinear(scaled, partition.m)
+    aux_name, aux_value = _aux_invariant(state, partition, bilinear_gram, factor)
     return InvariantReport(
         partition=partition,
         d_value=_d_value(gram, factor, partition),
-        e_value=_e_value(scaled, factor, partition),
+        e_value=_e_value(bilinear_gram, factor, partition),
         aux_name=aux_name,
         aux_value=aux_value,
-        rank_deficient=not _surely_full_rank(gram, factor, partition)
+        rank_deficient=not _surely_full_rank(gram, partition)
         and bool(np.linalg.matrix_rank(z) < partition.l),
     )
 

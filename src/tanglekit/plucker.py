@@ -37,9 +37,7 @@ class PluckerVector:
 def plucker_coordinates(z) -> PluckerVector:
     """All maximal minors of ``z`` as a :class:`PluckerVector`."""
     z = np.asarray(z, dtype=complex)
-    minors = maximal_minors(z)
-    coords = np.array([value for _, value in minors], dtype=complex)
-    return PluckerVector(z.shape[0], z.shape[1], coords)
+    return PluckerVector(z.shape[0], z.shape[1], maximal_minors(z))
 
 
 def plucker_relation_residual(p: PluckerVector) -> float:

@@ -14,7 +14,6 @@ from typing import NoReturn
 
 import numpy as np
 
-NORM_TOL = 1e-10
 # Largest register make_named_state builds and parse_state accepts: 2**26
 # complex amplitudes are 1 GiB.
 MAX_QUBITS = 26
@@ -59,26 +58,6 @@ class PureState:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.norm**2 - 1.0) <= NORM_TOL
-
-
-def amplitude_index(bit_string) -> int:
-    """Index of a computational-basis amplitude, first qubit most significant.
-
-    Accepts a string like ``"0010"`` or a sequence of 0/1 integers.
-    """
-    bits = [int(b) for b in bit_string]
-    if not bits:
-        raise ValueError("bit string must be non-empty")
-    index = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {bit_string!r}")
-        index = (index << 1) | b
-    return index
 
 
 def make_named_state(name: str, num_qubits: int, seed=None) -> PureState:
@@ -219,8 +198,3 @@ def load_state(path) -> PureState:
         except UnicodeDecodeError as exc:
             raise StateParseError(f"state file is not UTF-8 text: {exc.reason}") from exc
     return parse_state(text)
-
-
-def save_state(state: PureState, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_state(state))

@@ -54,6 +54,10 @@ def test_partition_validation():
         Partition(4, (1, 2, 3))  # n > N/2
     with pytest.raises(ValueError):
         Partition(3, (2, 3))
+    for positions in ((2.7,), (2.0,), (1, 3.5), (np.float64(2.0),)):
+        with pytest.raises(ValueError):
+            Partition(4, positions)
+    assert Partition(4, (np.int64(2), np.int32(4))).selected == (2, 4)
 
 
 def test_partition_from_label():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tanglekit.cli as cli
-from tanglekit.states import MAX_QUBITS, make_named_state, parse_state, save_state
+from tanglekit.states import MAX_QUBITS, make_named_state, parse_state, serialize_state
 from tanglekit.verify import CheckResult
 
 # data/haar5-seed7.state.json is `tanglekit gen haar-random 5 --seed 7` as
@@ -83,7 +83,7 @@ def test_verify_negative_seed_exits_2(capsys):
 
 def test_compute_single_partition_json(tmp_path, capsys):
     path = tmp_path / "ghz3.json"
-    save_state(make_named_state("ghz", 3), path)
+    path.write_text(serialize_state(make_named_state("ghz", 3)), encoding="utf-8")
     code, stdout, _ = run_cli(capsys, "compute", "--state", str(path), "--partition", "3")
     assert code == 0
     doc = json.loads(stdout)
@@ -97,7 +97,8 @@ def test_compute_single_partition_json(tmp_path, capsys):
 
 def test_compute_all_partitions_counts(tmp_path, capsys):
     path = tmp_path / "s4.json"
-    save_state(make_named_state("haar-random", 4, seed=3), path)
+    s = make_named_state("haar-random", 4, seed=3)
+    path.write_text(serialize_state(s), encoding="utf-8")
     code, stdout, _ = run_cli(
         capsys, "compute", "--state", str(path), "--all-partitions"
     )
@@ -107,7 +108,8 @@ def test_compute_all_partitions_counts(tmp_path, capsys):
 
 def test_compute_csv_columns(tmp_path, capsys):
     path = tmp_path / "s4.json"
-    save_state(make_named_state("haar-random", 4, seed=4), path)
+    s = make_named_state("haar-random", 4, seed=4)
+    path.write_text(serialize_state(s), encoding="utf-8")
     code, stdout, _ = run_cli(
         capsys, "compute", "--state", str(path), "--all-partitions", "--format", "csv"
     )
@@ -121,7 +123,7 @@ def test_compute_csv_columns(tmp_path, capsys):
 
 def test_compute_monotone_selector(tmp_path, capsys):
     path = tmp_path / "bell.json"
-    save_state(make_named_state("bell", 2), path)
+    path.write_text(serialize_state(make_named_state("bell", 2)), encoding="utf-8")
     code, stdout, _ = run_cli(
         capsys, "compute", "--state", str(path), "--partition", "2", "--monotone", "d"
     )
@@ -133,7 +135,8 @@ def test_compute_monotone_selector(tmp_path, capsys):
 
 def test_compute_output_is_deterministic(tmp_path, capsys):
     path = tmp_path / "s5.json"
-    save_state(make_named_state("haar-random", 5, seed=9), path)
+    s = make_named_state("haar-random", 5, seed=9)
+    path.write_text(serialize_state(s), encoding="utf-8")
     argv = ("compute", "--state", str(path), "--all-partitions", "--format", "csv")
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
@@ -176,7 +179,7 @@ def test_compute_missing_file_exits_2(tmp_path, capsys):
 
 def test_compute_bad_partition_exits_2(tmp_path, capsys):
     path = tmp_path / "bell.json"
-    save_state(make_named_state("bell", 2), path)
+    path.write_text(serialize_state(make_named_state("bell", 2)), encoding="utf-8")
     for spec in ("1,2", "3", "x"):
         code, stdout, stderr = run_cli(
             capsys, "compute", "--state", str(path), "--partition", spec
@@ -186,7 +189,7 @@ def test_compute_bad_partition_exits_2(tmp_path, capsys):
 
 def test_compute_requires_partition_choice(tmp_path, capsys):
     path = tmp_path / "bell.json"
-    save_state(make_named_state("bell", 2), path)
+    path.write_text(serialize_state(make_named_state("bell", 2)), encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "compute", "--state", str(path))
     assert exc.value.code == 2
@@ -194,7 +197,7 @@ def test_compute_requires_partition_choice(tmp_path, capsys):
 
 def test_unwritable_output_exits_2(tmp_path, capsys):
     state = tmp_path / "ghz3.json"
-    save_state(make_named_state("ghz", 3), state)
+    state.write_text(serialize_state(make_named_state("ghz", 3)), encoding="utf-8")
     compute = ("compute", "--state", str(state), "--all-partitions", "-o")
     for target in (tmp_path / "missing" / "x.json", tmp_path):
         for argv in (("gen", "ghz", "3", "-o"), compute):

@@ -8,37 +8,12 @@ from oracles import serialize_state_lines
 from tanglekit.states import (
     PureState,
     StateParseError,
-    amplitude_index,
     make_named_state,
     normalize,
     parse_state,
     random_state,
     serialize_state,
 )
-
-
-def test_amplitude_index_decimal_labels():
-    assert amplitude_index("0010") == 2
-    assert amplitude_index("1111") == 15
-    assert amplitude_index("100") == 4
-
-
-def test_amplitude_index_accepts_sequences():
-    assert amplitude_index([0, 1, 0]) == 2
-    assert amplitude_index((1, 0)) == 2
-
-
-def test_amplitude_index_is_bijective():
-    n = 4
-    seen = {amplitude_index(format(i, f"0{n}b")) for i in range(2**n)}
-    assert seen == set(range(2**n))
-
-
-def test_amplitude_index_rejects_bad_input():
-    with pytest.raises(ValueError):
-        amplitude_index("0120")
-    with pytest.raises(ValueError):
-        amplitude_index("")
 
 
 def test_ghz_amplitudes():
@@ -130,11 +105,6 @@ def test_pure_state_amplitudes_read_only():
     state = make_named_state("ghz", 2)
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
-
-
-def test_is_normalized_flag():
-    assert make_named_state("ghz", 3).is_normalized
-    assert not PureState(1, [2.0, 0.0]).is_normalized
 
 
 def test_parse_minimal_document():

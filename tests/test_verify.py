@@ -1,6 +1,12 @@
+import itertools
+import math
+
+import numpy as np
 import pytest
 
-from tanglekit.verify import SUITE_NAMES, run_suite
+import tanglekit.cli as cli
+import tanglekit.verify as verify
+from tanglekit.verify import SUITE_NAMES, check_slocc_invariance, run_suite
 
 NAMED_SUITES = [name for name in SUITE_NAMES if name != "all"]
 
@@ -41,3 +47,67 @@ def test_suite_results_are_deterministic():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("spectral", trials=5, seed=0)
+
+
+def test_all_suite_report_shape():
+    # What one trial counts: a state, except a partition for the Cauchy-Binet
+    # pair (20 states on 2..5 qubits have 130 partitions) and one state per
+    # register size N in {2, 3, 4} for POVM monotonicity.
+    expected = [
+        ("plucker-relation", 1e-12, 20),
+        ("gauge-covariance", 1e-10, 20),
+        ("cauchy-binet-hermitian", 1e-10, 130),
+        ("cauchy-binet-bilinear", 1e-10, 130),
+        ("epsilon-form", 0.0, 20),
+        ("lu-single-qubit", 1e-10, 20),
+        ("lu-selected-block", 1e-10, 20),
+        ("slocc-invariance", 1e-8, 20),
+        ("homogeneity", 1e-10, 20),
+        ("range-ordering", 1e-12, 20),
+        ("permutation-three-tangle", 1e-10, 20),
+        ("permutation-four-qubit", 1e-10, 20),
+        ("povm-monotonicity", 1e-9, 60),
+        ("lmn-sum", 1e-9, 20),
+        ("lmn-monotone-match", 1e-10, 20),
+        ("pfaffian-square", 1e-10, 20),
+        ("pfaffian-five-qubit", 1e-10, 20),
+    ]
+    results = run_suite("all", trials=20, seed=3)
+    assert [(r.name, r.tolerance, r.trials) for r in results] == expected
+    assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_nan_residual_fails_the_check(monkeypatch, where):
+    # Each slocc-invariance residual takes two E values, so a NaN at call k
+    # lands in residual k // 2.
+    real = verify.e_monotone
+    calls = []
+
+    def counted_e(state, part):
+        calls.append(part)
+        return real(state, part)
+
+    monkeypatch.setattr(verify, "e_monotone", counted_e)
+    assert check_slocc_invariance(8, np.random.default_rng(0)).passed
+    target = {"first": 0, "middle": len(calls) // 2, "last": len(calls) - 1}[where]
+    counter = itertools.count()
+
+    def e_with_one_nan(state, part):
+        value = real(state, part)
+        return math.nan if next(counter) == target else value
+
+    monkeypatch.setattr(verify, "e_monotone", e_with_one_nan)
+    result = check_slocc_invariance(8, np.random.default_rng(0))
+    assert next(counter) == len(calls)
+    assert math.isnan(result.max_residual)
+    assert not result.passed
+
+
+def test_nan_residual_fails_the_cli_run(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "e_monotone", lambda state, part: math.nan)
+    code = cli.main(["verify", "slocc", "--trials", "4"])
+    stdout = capsys.readouterr().out
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert "[FAIL] slocc-invariance" in stdout
+    assert "max residual nan" in stdout
