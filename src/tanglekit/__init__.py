@@ -10,7 +10,6 @@ invariants, and the five-qubit Pfaffian form).
 
 from .bipartition import (
     Partition,
-    bilinear,
     epsilon_apply,
     epsilon_matrix,
     parity_signs,
@@ -47,7 +46,6 @@ from .monotones import (
 )
 from .plucker import (
     PluckerVector,
-    gauge_transform,
     gram_bilinear,
     gram_hermitian,
     plucker_coordinates,

@@ -40,11 +40,12 @@ class Partition:
 
     def __post_init__(self):
         try:
+            n_total = operator.index(self.num_qubits)
             sel = tuple(map(operator.index, self.selected))
         except TypeError as exc:
-            raise ValueError(f"selected positions must be integers: {exc}") from None
+            raise ValueError(f"qubit count and positions must be integers: {exc}") from None
+        object.__setattr__(self, "num_qubits", n_total)
         object.__setattr__(self, "selected", sel)
-        n_total = self.num_qubits
         if len(sel) < 1:
             raise ValueError("partition must select at least one qubit")
         prev = 0
@@ -155,16 +156,3 @@ def epsilon_matrix(m: int) -> np.ndarray:
     """Materialized 2**m x 2**m matrix of the ε-form (tests and oracles only)."""
     return reduce(np.kron, [EPSILON_2X2] * m, np.array([[1.0]]))
 
-
-def bilinear(m: int, a, b) -> complex:
-    """The ε-bilinear pairing ``sum_i (-1)**popcount(i) a[i] b[~i]``.
-
-    Symmetric for m even, antisymmetric for m odd.
-    """
-    av = np.asarray(a, dtype=complex)
-    bv = np.asarray(b, dtype=complex)
-    if av.shape != (2**m,) or bv.shape != (2**m,):
-        raise ValueError(
-            f"expected two vectors of length {2**m}, got shapes {av.shape}, {bv.shape}"
-        )
-    return complex(av @ epsilon_apply(m, bv))

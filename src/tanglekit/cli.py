@@ -193,10 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "trials", 1) < 1:
-        parser.error("--trials must be >= 1")
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -3,6 +3,7 @@ two-outcome POVMs) and the averaged-monotone measurement experiment."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,6 +26,17 @@ _MONOTONES: dict[str, Callable[[PureState, Partition], float]] = {
 }
 
 
+def _operator_2x2(matrix, what: str) -> np.ndarray:
+    """A read-only complex copy of a finite 2 x 2 operator."""
+    m = np.array(matrix, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"{what} must be 2 x 2, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{what} entries must be finite")
+    m.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True)
 class LocalOperator:
     """A 2 x 2 operator acting on one 1-based qubit position."""
@@ -33,13 +45,12 @@ class LocalOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"local operator must be 2 x 2, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("local operator entries must be finite")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        try:
+            qubit = operator.index(self.qubit)
+        except TypeError as exc:
+            raise ValueError(f"qubit position must be an integer: {exc}") from None
+        object.__setattr__(self, "qubit", qubit)
+        object.__setattr__(self, "matrix", _operator_2x2(self.matrix, "local operator"))
 
 
 @dataclass(frozen=True)
@@ -50,17 +61,13 @@ class PovmPair:
     a2: np.ndarray
 
     def __post_init__(self):
-        a1 = np.asarray(self.a1, dtype=complex)
-        a2 = np.asarray(self.a2, dtype=complex)
-        if a1.shape != (2, 2) or a2.shape != (2, 2):
-            raise ValueError("POVM operators must be 2 x 2")
+        a1 = _operator_2x2(self.a1, "POVM operator")
+        a2 = _operator_2x2(self.a2, "POVM operator")
         residual = np.abs(a1.conj().T @ a1 + a2.conj().T @ a2 - np.eye(2)).max()
         if residual > COMPLETENESS_TOL:
             raise ValueError(
                 f"POVM completeness violated (max residual {float(residual):.3e})"
             )
-        a1.flags.writeable = False
-        a2.flags.writeable = False
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
 
@@ -143,15 +150,16 @@ def monotonicity_trial(
     state: PureState,
     qubit: int,
     povm: PovmPair,
-    monotone: str | Callable[[PureState, Partition], float],
+    monotone: str,
     partition: Partition,
 ) -> tuple[float, float]:
-    """(value before, probability-averaged value after) a two-outcome POVM.
+    """(value before, probability-averaged value after) a two-outcome POVM,
+    for the monotone ``"d"`` or ``"e"``.
 
     For an entanglement monotone the average never exceeds the pre-measurement
     value; branches with probability below 1e-14 contribute zero.
     """
-    fn = _MONOTONES[monotone] if isinstance(monotone, str) else monotone
+    fn = _MONOTONES[monotone]
     before = fn(state, partition)
     after = 0.0
     for prob, psi in povm_branches(state, qubit, povm):

@@ -1,6 +1,6 @@
 """Plücker coordinates of a rectangular coefficient matrix, the Gr(4,2)
-quadratic relation, gauge covariance, and the two Gram matrices (Hermitian and
-ε-bilinear) whose determinants drive the monotones."""
+quadratic relation, and the two Gram matrices (Hermitian and ε-bilinear) whose
+determinants drive the monotones."""
 
 from __future__ import annotations
 
@@ -53,17 +53,6 @@ def plucker_relation_residual(p: PluckerVector) -> float:
         )
     c = p.coords  # rows (0,1) (0,2) (0,3) (1,2) (1,3) (2,3)
     return float(abs(c[0] * c[5] - c[1] * c[4] + c[2] * c[3]))
-
-
-def gauge_transform(z, s) -> np.ndarray:
-    """Column mixing ``Z -> Z S``; Plücker coordinates rescale by det(S)."""
-    z = np.asarray(z, dtype=complex)
-    s = np.asarray(s, dtype=complex)
-    if s.ndim != 2 or s.shape != (z.shape[1], z.shape[1]):
-        raise ValueError(
-            f"gauge matrix must be {z.shape[1]} x {z.shape[1]}, got shape {s.shape}"
-        )
-    return z @ s
 
 
 def gram_hermitian(z) -> np.ndarray:

@@ -235,6 +235,7 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
 
 
 def test_trials_must_be_positive(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, "verify", "plucker", "--trials", "0")
-    assert exc.value.code == 2
+    code, stdout, stderr = run_cli(capsys, "verify", "plucker", "--trials", "0")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: trials must be >= 1, got 0\n"

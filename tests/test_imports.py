@@ -28,3 +28,49 @@ def test_no_module_imports_a_private_sibling_name():
     assert len(modules) > 1
     offenders = [hit for path in modules for hit in _private_sibling_imports(path)]
     assert offenders == []
+
+
+# Paper quantities kept as public API although no module in the package calls them.
+PAPER_QUANTITIES = ("concurrence_squared", "three_tangle", "n_tangle", "meyer_wallach_q")
+
+
+def _orphan_names(package_dir: Path) -> list[str]:
+    """Top-level public functions and classes that no other top-level statement
+    of a package module (``__init__.py`` aside) names.
+
+    A function registered by one of the package's own decorators counts as used.
+    """
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package_dir.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    statements = [stmt for tree in trees.values() for stmt in tree.body]
+    defined = {
+        stmt.name for stmt in statements if isinstance(stmt, ast.FunctionDef | ast.ClassDef)
+    }
+    orphans = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, ast.FunctionDef | ast.ClassDef):
+                continue
+            if stmt.name.startswith("_") or stmt.name in PAPER_QUANTITIES:
+                continue
+            registered = any(
+                isinstance(dec, ast.Call) and getattr(dec.func, "id", None) in defined
+                for dec in stmt.decorator_list
+            )
+            used = any(
+                stmt.name in (getattr(node, "id", None), getattr(node, "attr", None))
+                for other in statements
+                if other is not stmt
+                for node in ast.walk(other)
+                if isinstance(node, ast.Name | ast.Attribute)
+            )
+            if not (registered or used):
+                orphans.append(f"{module}: {stmt.name}")
+    return orphans
+
+
+def test_every_public_name_has_a_caller():
+    assert _orphan_names(PACKAGE_DIR) == []

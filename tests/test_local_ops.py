@@ -82,6 +82,10 @@ def test_local_operator_validation():
         LocalOperator(1, np.zeros((2, 3)))
     with pytest.raises(ValueError):
         LocalOperator(1, [[np.inf, 0.0], [0.0, 1.0]])
+    for qubit in (1.0, 1.5, np.float64(2.0)):
+        with pytest.raises(ValueError):
+            LocalOperator(qubit, X)
+    assert type(LocalOperator(np.int64(2), X).qubit) is int
 
 
 def test_povm_pair_completeness_enforced():
@@ -89,6 +93,27 @@ def test_povm_pair_completeness_enforced():
     assert good.a1.shape == (2, 2)
     with pytest.raises(ValueError):
         PovmPair(np.eye(2), np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_povm_pair_rejects_non_finite_entries(bad):
+    for a1, a2 in [(np.full((2, 2), bad), np.eye(2)), (np.eye(2), np.full((2, 2), bad))]:
+        with pytest.raises(ValueError, match="finite"):
+            PovmPair(a1, a2)
+
+
+def test_operators_copy_the_callers_arrays():
+    m = np.eye(2, dtype=complex)
+    op = LocalOperator(1, m)
+    a1 = np.eye(2, dtype=complex) / np.sqrt(2)
+    a2 = a1.copy()
+    pair = PovmPair(a1, a2)
+    for caller, stored in [(m, op.matrix), (a1, pair.a1), (a2, pair.a2)]:
+        expected = stored.copy()
+        caller[0, 0] = 5.0  # the caller's array stays writable
+        assert np.array_equal(stored, expected)
+        with pytest.raises(ValueError):
+            stored[0, 0] = 5.0
 
 
 def test_random_povm_pair_complete_and_deterministic():
@@ -136,9 +161,8 @@ def test_balanced_unitary_povm_preserves_monotone():
 def test_projective_measurement_kills_ghz_tangle():
     pair = PovmPair(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     state = make_named_state("ghz", 3)
-    before, after = monotonicity_trial(
-        state, 3, pair, lambda s, p: three_tangle(s), Partition(3, (3,))
-    )
+    # E at the last qubit of three is the three-tangle
+    before, after = monotonicity_trial(state, 3, pair, "e", Partition(3, (3,)))
     assert abs(before - 1.0) < 1e-10
     assert after < 1e-12
 

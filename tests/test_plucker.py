@@ -7,7 +7,6 @@ import pytest
 from tanglekit.bipartition import Partition, reshape
 from tanglekit.plucker import (
     PluckerVector,
-    gauge_transform,
     gram_bilinear,
     gram_hermitian,
     plucker_coordinates,
@@ -81,7 +80,7 @@ def test_gauge_identity_leaves_coordinates():
     rng = np.random.default_rng(52)
     z = _cmat(rng, (6, 3))
     assert np.array_equal(
-        plucker_coordinates(gauge_transform(z, np.eye(3))).coords,
+        plucker_coordinates(z @ np.eye(3)).coords,
         plucker_coordinates(z).coords,
     )
 
@@ -91,7 +90,7 @@ def test_gauge_two_column_scaling():
     z = _cmat(rng, (4, 2))
     s = _cmat(rng, (2, 2))
     det_s = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
-    left = plucker_coordinates(gauge_transform(z, s)).coords
+    left = plucker_coordinates(z @ s).coords
     right = det_s * plucker_coordinates(z).coords
     assert np.abs(left - right).max() <= 1e-12 * max(1.0, float(np.abs(right).max()))
 
@@ -101,14 +100,9 @@ def test_gauge_covariance_random():
     for rows, cols in [(4, 2), (8, 2), (6, 3), (8, 4)]:
         z = _cmat(rng, (rows, cols))
         s = _cmat(rng, (cols, cols))
-        left = plucker_coordinates(gauge_transform(z, s)).coords
+        left = plucker_coordinates(z @ s).coords
         right = complex(np.linalg.det(s)) * plucker_coordinates(z).coords
         assert np.abs(left - right).max() <= 1e-10 * max(1.0, float(np.abs(right).max()))
-
-
-def test_gauge_transform_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        gauge_transform(np.zeros((4, 2)), np.eye(3))
 
 
 def test_gram_hermitian_orthonormal_columns():

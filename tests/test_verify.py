@@ -6,7 +6,7 @@ import pytest
 
 import tanglekit.cli as cli
 import tanglekit.verify as verify
-from tanglekit.verify import SUITE_NAMES, check_slocc_invariance, run_suite
+from tanglekit.verify import SUITE_NAMES, check_lmn_sum, check_slocc_invariance, run_suite
 
 NAMED_SUITES = [name for name in SUITE_NAMES if name != "all"]
 
@@ -47,6 +47,15 @@ def test_suite_results_are_deterministic():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("spectral", trials=5, seed=0)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_trials_must_be_positive(trials):
+    message = f"^trials must be >= 1, got {trials}$"
+    with pytest.raises(ValueError, match=message):
+        run_suite("lmn", trials=trials)
+    with pytest.raises(ValueError, match=message):
+        check_lmn_sum(trials, np.random.default_rng(0))
 
 
 def test_all_suite_report_shape():
