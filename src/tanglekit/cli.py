@@ -15,7 +15,6 @@ from .bipartition import Partition
 from .monotones import InvariantReport, all_partitions_report, partition_report
 from .states import (
     NAMED_STATES,
-    StateParseError,
     format_float,
     load_state,
     make_named_state,
@@ -107,20 +106,11 @@ def cmd_compute(args) -> int:
     except OSError as exc:
         print(f"error: cannot read state file: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except StateParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        if args.all_partitions:
-            reports = all_partitions_report(state)
-        else:
-            part = Partition.from_label(state.num_qubits, args.partition)
-            reports = [partition_report(state, part)]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    if args.all_partitions:
+        reports = all_partitions_report(state)
+    else:
+        part = Partition.from_label(state.num_qubits, args.partition)
+        reports = [partition_report(state, part)]
     if args.format == "json":
         text = _render_json(state.num_qubits, reports, args.monotone)
     else:
@@ -129,20 +119,12 @@ def cmd_compute(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        state = make_named_state(args.name, args.num_qubits, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    state = make_named_state(args.name, args.num_qubits, seed=args.seed)
     return _write_output(serialize_state(state), args.output)
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = run_suite(args.suite, trials=args.trials, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    results = run_suite(args.suite, trials=args.trials, seed=args.seed)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -194,7 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    # The one error boundary: a command's ValueError (StateParseError too) is exit 2.
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -159,6 +159,8 @@ def monotonicity_trial(
     For an entanglement monotone the average never exceeds the pre-measurement
     value; branches with probability below 1e-14 contribute zero.
     """
+    if monotone not in _MONOTONES:
+        raise ValueError(f"unknown monotone {monotone!r}; choose from {tuple(_MONOTONES)}")
     fn = _MONOTONES[monotone]
     before = fn(state, partition)
     after = 0.0

@@ -24,7 +24,7 @@ import numpy as np
 from .bipartition import Partition, reshape
 from .linalg import pfaffian
 from .plucker import gram_bilinear, gram_hermitian
-from .states import MAX_QUBITS, PureState
+from .states import PureState
 
 # The selections of the three square 4-qubit reshapes whose determinants are
 # L, M and N, and their orientation signs, fixed once so that the determinant
@@ -201,7 +201,7 @@ def _aux_invariant(
     return None, None
 
 
-def _surely_full_rank(gram: np.ndarray, partition: Partition) -> bool:
+def _surely_full_rank(gram: np.ndarray) -> bool:
     """True only if ``np.linalg.matrix_rank`` of the reshape is l.
 
     ``gram`` is the Hermitian Gram matrix G of the unit-Frobenius reshape Z, so
@@ -210,9 +210,9 @@ def _surely_full_rank(gram: np.ndarray, partition: Partition) -> bool:
     settles it, with u = 2**-53 and s = _FULL_RANK_SHIFT:
 
     * ``matrix_rank`` counts the singular values above max(L, l) eps sigma_max.
-      That cut is relative, so scaling Z changes nothing, and for at most
-      MAX_QUBITS = 26 qubits (l <= 2**13, L <= 2**25) it is below
-      2**25 * 2**-52 < 7.5e-9.
+      That cut is relative, so scaling Z changes nothing, and as a PureState
+      holds at most MAX_QUBITS = 26 qubits (l <= 2**13, L <= 2**25) it is
+      below 2**25 * 2**-52 < 7.5e-9.
     * Gram round-off: the computed G is Z^H Z + E1 with ||E1|| <~ sqrt(2) L u
       (complex dot products of length L whose terms add up to tr G = 1).
     * Cholesky backward error (Higham, *Accuracy and Stability of Numerical
@@ -225,10 +225,8 @@ def _surely_full_rank(gram: np.ndarray, partition: Partition) -> bool:
       the cut and the SVD's own error, which is a small multiple of it.
     * A zero reshape has G = 0, so the factorization fails and the SVD decides.
     """
-    if partition.num_qubits > MAX_QUBITS:
-        return False
     try:
-        np.linalg.cholesky(gram - _FULL_RANK_SHIFT * np.eye(partition.l))
+        np.linalg.cholesky(gram - _FULL_RANK_SHIFT * np.eye(len(gram)))
     except np.linalg.LinAlgError:
         return False
     return True
@@ -252,7 +250,7 @@ def partition_report(state: PureState, partition: Partition) -> InvariantReport:
         e_value=_e_value(bilinear_gram, factor, partition),
         aux_name=aux_name,
         aux_value=aux_value,
-        rank_deficient=not _surely_full_rank(gram, partition)
+        rank_deficient=not _surely_full_rank(gram)
         and bool(np.linalg.matrix_rank(z) < partition.l),
     )
 

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import NoReturn
 
 import numpy as np
 
-# Largest register make_named_state builds and parse_state accepts: 2**26
-# complex amplitudes are 1 GiB.
+# Largest register a PureState holds: 2**26 complex amplitudes are 1 GiB.
 MAX_QUBITS = 26
 # Floats serialize_state formats with one `%` call: the block's argument tuple
 # stays small, and the per-block overhead is spread over 2**15 amplitudes.
@@ -34,21 +34,33 @@ class StateParseError(ValueError):
         self.position = position
 
 
+def _register_size(num_qubits) -> int:
+    """``num_qubits`` as an int in [1, MAX_QUBITS], checked before ``2**n`` is formed."""
+    try:
+        n = operator.index(num_qubits)
+    except TypeError as exc:
+        raise ValueError(f"num_qubits must be an integer: {exc}") from None
+    if n < 1:
+        raise ValueError(f"num_qubits must be >= 1, got {n}")
+    if n > MAX_QUBITS:
+        raise ValueError(f"num_qubits must be <= {MAX_QUBITS}, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class PureState:
-    """Amplitude vector of an N-qubit register (length exactly 2**num_qubits)."""
+    """Amplitude vector of a 1- to MAX_QUBITS-qubit register (length 2**num_qubits)."""
 
     num_qubits: int
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
+        n = _register_size(self.num_qubits)
+        object.__setattr__(self, "num_qubits", n)
         amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.num_qubits,):
+        if amps.shape != (2**n,):
             raise ValueError(
-                f"expected {2**self.num_qubits} amplitudes for {self.num_qubits} "
-                f"qubits, got shape {amps.shape}"
+                f"expected {2**n} amplitudes for {n} qubits, got shape {amps.shape}"
             )
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
@@ -62,11 +74,7 @@ class PureState:
 
 def make_named_state(name: str, num_qubits: int, seed=None) -> PureState:
     """Construct a named normalized state: ghz, w, bell, product-zero, or haar-random."""
-    n = num_qubits
-    if n < 1:
-        raise ValueError(f"num_qubits must be >= 1, got {n}")
-    if n > MAX_QUBITS:
-        raise ValueError(f"num_qubits must be <= {MAX_QUBITS}, got {n}")
+    n = _register_size(num_qubits)
     if name == "ghz":
         amps = np.zeros(2**n, dtype=complex)
         amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)

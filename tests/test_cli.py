@@ -155,6 +155,8 @@ MALFORMED_FILES = {
     "not-utf8": b'{"n_qubits": 1, "amplitudes": [[1, 0], [0, 0]]} \xe9\xff',
     "deeply-nested": b"[" * 100000 + b"]" * 100000,
     "n-qubits-100000": b'{"n_qubits": 100000, "amplitudes": []}',
+    "nan": _amplitude_document("NaN"),
+    "infinity": _amplitude_document("Infinity"),
 }
 
 
@@ -239,3 +241,60 @@ def test_trials_must_be_positive(capsys):
     assert code == 2
     assert stdout == ""
     assert stderr == "error: trials must be >= 1, got 0\n"
+
+
+def test_every_cli_error_path_exits_2_with_its_message(tmp_path, capsys):
+    # Each row's stderr was recorded before cli.main became the one error boundary.
+    ghz3 = tmp_path / "ghz3.json"
+    ghz3.write_text(serialize_state(make_named_state("ghz", 3)), encoding="utf-8")
+    documents = {
+        "one-qubit": '{"n_qubits": 1, "amplitudes": [[1, 0], [0, 0]]}',
+        "not-json": "hello",
+        "n27": '{"n_qubits": 27, "amplitudes": []}',
+    }
+    for name, text in documents.items():
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+    missing = tmp_path / "nope.json"
+    unwritable = tmp_path / "missing" / "x.json"
+    compute = ("compute", "--state")
+    rows = [
+        (("gen", "bell", "3"), "bell state needs exactly 2 qubits, got 3"),
+        (("gen", "ghz", "0"), "num_qubits must be >= 1, got 0"),
+        (("gen", "ghz", "40"), "num_qubits must be <= 26, got 40"),
+        (("gen", "w", "1"), "w state needs at least 2 qubits, got 1"),
+        (("gen", "haar-random", "3", "--seed", "-5"), "expected non-negative integer"),
+        (
+            (*compute, str(missing), "--partition", "1"),
+            f"cannot read state file: [Errno 2] No such file or directory: {str(missing)!r}",
+        ),
+        (
+            (*compute, str(tmp_path / "not-json.json"), "--partition", "1"),
+            "invalid document: Expecting value (at position 0)",
+        ),
+        (
+            (*compute, str(tmp_path / "n27.json"), "--partition", "1"),
+            "'n_qubits' must be <= 26, got 27",
+        ),
+        (
+            (*compute, str(ghz3), "--partition", "1,,2"),
+            "malformed partition spec '1,,2'",
+        ),
+        (
+            (*compute, str(ghz3), "--partition", "5"),
+            "selected positions must be strictly increasing in [1, 3], got (5,)",
+        ),
+        (
+            (*compute, str(tmp_path / "one-qubit.json"), "--all-partitions"),
+            "need at least 2 qubits, got 1",
+        ),
+        (
+            (*compute, str(ghz3), "--all-partitions", "-o", str(unwritable)),
+            "cannot write output file: [Errno 2] No such file or directory: "
+            f"{str(unwritable)!r}",
+        ),
+        (("verify", "all", "--trials", "0"), "trials must be >= 1, got 0"),
+        (("verify", "all", "--seed", "-1"), "expected non-negative integer"),
+    ]
+    for argv, message in rows:
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert (code, stdout, stderr) == (2, "", f"error: {message}\n"), argv

@@ -1,4 +1,5 @@
-"""Package layout: no tanglekit module imports a private name from a sibling."""
+"""Package layout, read from the source: private names stay private, every public
+name has a caller, and the CLI has one error boundary."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,21 @@ def _orphan_names(package_dir: Path) -> list[str]:
 
 def test_every_public_name_has_a_caller():
     assert _orphan_names(PACKAGE_DIR) == []
+
+
+# Exception types whose handler would catch a ValueError; a bare ``except`` does too.
+CATCHES_VALUE_ERROR = {"ValueError", "StateParseError", "Exception", "BaseException"}
+
+
+def test_cli_main_is_the_one_value_error_boundary():
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    catchers = []
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = {getattr(t, "id", getattr(t, "attr", None)) for t in caught}
+            if node.type is None or names & CATCHES_VALUE_ERROR:
+                catchers.append(getattr(stmt, "name", "<module>"))
+    assert catchers == ["main"]

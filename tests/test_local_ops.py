@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,13 @@ def test_monotonicity_random_suite():
             for mono in ("d", "e"):
                 before, after = monotonicity_trial(state, qubit, pair, mono, part)
                 assert after <= before + 1e-9
+
+
+def test_monotonicity_trial_rejects_unknown_monotone():
+    state = random_state(3, seed=1)
+    message = re.escape("unknown monotone 'x'; choose from ('d', 'e')")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        monotonicity_trial(state, 1, random_povm_pair(2), "x", Partition(3, (3,)))
 
 
 def test_d_monotone_invariant_under_unitaries():

@@ -101,6 +101,31 @@ def test_pure_state_validation():
         PureState(0, [1.0])
 
 
+# Short amplitude lists: the register check must fire before 2**n is formed.
+@pytest.mark.parametrize(
+    ("num_qubits", "amplitudes", "message"),
+    [
+        (2.0, [1, 0, 0, 0], "^num_qubits must be an integer: "),
+        (100000, [1], "^num_qubits must be <= 26, got 100000$"),
+        (27, [1], "^num_qubits must be <= 26, got 27$"),
+    ],
+    ids=["float", "past-int-digit-limit", "27"],
+)
+def test_pure_state_owns_the_register_bound(num_qubits, amplitudes, message):
+    with pytest.raises(ValueError, match=message):
+        PureState(num_qubits, amplitudes)
+
+
+def test_register_size_is_a_plain_int():
+    state = PureState(np.int64(1), [1, 0])
+    assert type(state.num_qubits) is int and state.num_qubits == 1
+
+
+def test_make_named_state_shares_the_register_check():
+    with pytest.raises(ValueError, match="^num_qubits must be an integer: "):
+        make_named_state("ghz", 2.0)
+
+
 def test_pure_state_amplitudes_read_only():
     state = make_named_state("ghz", 2)
     with pytest.raises(ValueError):
@@ -140,6 +165,10 @@ def test_parse_rejects_bad_fields():
     for n_qubits in (27, 100000):
         doc = f'{{"n_qubits": {n_qubits}, "amplitudes": []}}'
         with pytest.raises(StateParseError, match=f"^'n_qubits' must be <= 26, got {n_qubits}$"):
+            parse_state(doc)
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        doc = f'{{"n_qubits": 1, "amplitudes": [[{bad}, 0], [0, 0]]}}'
+        with pytest.raises(StateParseError, match="^amplitudes must be finite$"):
             parse_state(doc)
     # A bad pair at index 5 of 8 is named by its index.
     bad_pairs = {
