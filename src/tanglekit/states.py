@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import NoReturn
 
@@ -20,6 +21,12 @@ MAX_QUBITS = 26
 # Floats serialize_state formats with one `%` call: the block's argument tuple
 # stays small, and the per-block overhead is spread over 2**15 amplitudes.
 _BLOCK = 2**16
+# Characters of amplitude lines _parse_written_layout hands to one json.loads
+# call: its lists and floats stay small next to the text and the amplitudes.
+_CHUNK = 2**16
+# The fixed text around the amplitude lines of a serialize_state document.
+_WRITTEN_HEADER = re.compile(r'\{\n  "n_qubits": ([1-9][0-9]?),\n  "amplitudes": \[\n')
+_WRITTEN_FOOTER = "\n  ]\n}\n"
 
 NAMED_STATES = ("ghz", "w", "bell", "product-zero", "haar-random")
 
@@ -137,7 +144,15 @@ def serialize_state(state: PureState) -> str:
 
 
 def parse_state(text: str) -> PureState:
-    """Parse the JSON state document produced by :func:`serialize_state`."""
+    """Parse a JSON state document such as :func:`serialize_state` produces.
+
+    A document in exactly the layout :func:`serialize_state` writes is parsed
+    a chunk of lines at a time (:func:`_parse_written_layout`); any other
+    document, and any document that path turns down, is parsed whole here.
+    """
+    state = _parse_written_layout(text)
+    if state is not None:
+        return state
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -162,24 +177,31 @@ def parse_state(text: str) -> PureState:
         raise StateParseError(
             f"expected {2**n} amplitudes for n_qubits={n}, got {len(raw)}"
         )
-    # json.loads yields exact int/float/bool types, so these set tests accept
-    # exactly the pairs _raise_first_bad_amplitude accepts.
-    components = itertools.chain.from_iterable
-    ok = (
-        set(map(type, raw)) <= {list}
-        and set(map(len, raw)) <= {2}
-        and set(map(type, components(raw))) <= {int, float}
-    )
-    if ok:
-        try:
-            amps = np.fromiter(components(raw), float, count=2 * len(raw)).view(complex)
-        except OverflowError:
-            ok = False
-    if not ok:
+    flat = _pair_components(raw)
+    if flat is None:
         _raise_first_bad_amplitude(raw)
+    amps = flat.view(complex)
     if not np.all(np.isfinite(amps)):
         raise StateParseError("amplitudes must be finite")
     return PureState(n, amps)
+
+
+def _pair_components(raw: list) -> np.ndarray | None:
+    """The components of ``raw``'s ``[re, im]`` pairs as one float64 array, or
+    None if any pair is not two numbers a float can hold."""
+    # json.loads yields exact int/float/bool types, so these set tests accept
+    # exactly the pairs _raise_first_bad_amplitude accepts.
+    components = itertools.chain.from_iterable
+    if not (
+        set(map(type, raw)) <= {list}
+        and set(map(len, raw)) <= {2}
+        and set(map(type, components(raw))) <= {int, float}
+    ):
+        return None
+    try:
+        return np.fromiter(components(raw), float, count=2 * len(raw))
+    except OverflowError:
+        return None
 
 
 def _raise_first_bad_amplitude(raw: list) -> NoReturn:
@@ -197,6 +219,60 @@ def _raise_first_bad_amplitude(raw: list) -> NoReturn:
         except OverflowError:
             raise StateParseError(f"amplitude {i}: value out of range") from None
     raise AssertionError("no bad amplitude pair found")
+
+
+def _parse_written_layout(text: str) -> PureState | None:
+    """Parse a document in the exact layout of :func:`serialize_state` without
+    building its whole JSON tree, or return None on any deviation.
+
+    The amplitude lines are cut into chunks of about ``_CHUNK`` characters that
+    end at line breaks; each chunk but the last must end with the comma that
+    separates it from the next, which is dropped. A successful parse returns
+    exactly what ``json.loads`` of the whole document would give:
+
+    - the header is fixed, so the keys and ``n_qubits`` cannot differ;
+    - chunks end at line breaks, which JSON allows only between tokens (a
+      string cannot hold a raw line break), so no token is split;
+    - each chunk is a non-empty comma-separated value list, and joining such
+      lists with commas gives the same array, in the same order.
+
+    Every pair passes the same :func:`_pair_components` test as the whole
+    path. A chunk ``json`` rejects, a bad pair, a wrong count or a non-finite
+    value returns None, and the whole-document path then raises the error.
+    """
+    header = _WRITTEN_HEADER.match(text) if isinstance(text, str) else None
+    if header is None or not text.endswith(_WRITTEN_FOOTER):
+        return None
+    n = int(header.group(1))
+    if n > MAX_QUBITS:
+        return None
+    flat = np.empty(2 * 2**n)
+    filled = 0
+    start, end = header.end(), len(text) - len(_WRITTEN_FOOTER)
+    while start < end:
+        stop = text.find("\n", min(start + _CHUNK, end), end)
+        if stop == -1:
+            stop = end
+            chunk = text[start:end]
+        elif text[stop - 1] == ",":
+            chunk = text[start : stop - 1]
+        else:
+            return None
+        try:
+            raw = json.loads("[" + chunk + "]")
+        except (ValueError, RecursionError):
+            return None
+        if not raw or filled + 2 * len(raw) > flat.size:
+            return None
+        values = _pair_components(raw)
+        if values is None:
+            return None
+        flat[filled : filled + values.size] = values
+        filled += values.size
+        start = stop
+    if filled != flat.size or not np.all(np.isfinite(flat)):
+        return None
+    return PureState(n, flat.view(complex))
 
 
 def load_state(path) -> PureState:

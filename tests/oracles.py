@@ -8,8 +8,11 @@ with the library implementations it checks.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
+
+from tanglekit.states import MAX_QUBITS, PureState, StateParseError
 
 
 def det_cofactor(matrix) -> complex:
@@ -142,3 +145,47 @@ def serialize_state_lines(state) -> str:
         lines.append(f"    [{float(a.real):.17g}, {float(a.imag):.17g}]{sep}")
     lines += ["  ]", "}"]
     return "\n".join(lines) + "\n"
+
+
+def parse_state_whole(text: str) -> PureState:
+    """The state document parsed whole by one ``json.loads``, with every check
+    and message of the parser that :mod:`tanglekit.states` had before it
+    parsed the ``serialize_state`` layout chunk by chunk."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StateParseError(f"invalid document: {exc.msg}", position=exc.pos) from exc
+    except ValueError as exc:
+        raise StateParseError(f"invalid document: {exc}") from exc
+    except RecursionError:
+        raise StateParseError("invalid document: nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise StateParseError("top-level value must be an object")
+    if "n_qubits" not in doc or "amplitudes" not in doc:
+        raise StateParseError("document needs 'n_qubits' and 'amplitudes' fields")
+    n = doc["n_qubits"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise StateParseError(f"'n_qubits' must be a positive integer, got {n!r}")
+    if n > MAX_QUBITS:
+        raise StateParseError(f"'n_qubits' must be <= {MAX_QUBITS}, got {n}")
+    raw = doc["amplitudes"]
+    if not isinstance(raw, list):
+        raise StateParseError("'amplitudes' must be an array")
+    if len(raw) != 2**n:
+        raise StateParseError(f"expected {2**n} amplitudes for n_qubits={n}, got {len(raw)}")
+    # Pair by pair, in index order: the first bad pair is the one reported.
+    for i, pair in enumerate(raw):
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+        ):
+            raise StateParseError(f"amplitude {i}: expected a [re, im] number pair")
+        try:
+            complex(pair[0], pair[1])
+        except OverflowError:
+            raise StateParseError(f"amplitude {i}: value out of range") from None
+    amps = np.array([complex(float(re_), float(im)) for re_, im in raw])
+    if not np.all(np.isfinite(amps)):
+        raise StateParseError("amplitudes must be finite")
+    return PureState(n, amps)

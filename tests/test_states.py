@@ -1,11 +1,15 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import serialize_state_lines
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import parse_state_whole, serialize_state_lines
 
 from tanglekit.states import (
+    _CHUNK,
     PureState,
     StateParseError,
     make_named_state,
@@ -137,6 +141,8 @@ def test_parse_minimal_document():
     state = parse_state(text)
     assert state.num_qubits == 2
     assert state.amplitudes[0] == 1.0
+    # json.loads also takes the document as UTF-8 bytes.
+    assert np.array_equal(parse_state(text.encode()).amplitudes, state.amplitudes)
 
 
 def test_parse_rejects_wrong_amplitude_count():
@@ -191,6 +197,94 @@ def test_parse_rejects_bad_fields():
     doc = f'{{"n_qubits": 2, "amplitudes": [[0, 0], [{10**400}, 0], [0], [0, 0]]}}'
     with pytest.raises(StateParseError, match="^amplitude 1: value out of range$"):
         parse_state(doc)
+    # The same pairs, and non-finite ones, in a 12-qubit document in the layout
+    # serialize_state writes, which the parser reads in several chunks: on the
+    # first and the last line, and on the lines on both sides of the first
+    # chunk boundary.
+    lines, (first_after, *_) = _written_document_lines(12)
+    planted = {bad: f"amplitude {{}}: {message}" for bad, message in bad_pairs.items()}
+    for bad in ("[NaN, 0]", "[0, Infinity]", "[-Infinity, 1]"):
+        planted[bad] = "amplitudes must be finite"
+    for bad, message in planted.items():
+        for index in (0, first_after - 1, first_after, 4095):
+            doc = _plant(lines, index, bad)
+            with pytest.raises(StateParseError, match=f"^{re.escape(message.format(index))}$"):
+                parse_state(doc)
+    # Layouts that differ from serialize_state's at the first chunk boundary,
+    # with the outcome of the whole-document parse: an error, or (None) the
+    # amplitudes of the unchanged document.
+    text = "\n".join(lines)
+    before = first_after - 1
+    line = lines[_HEAD + before]
+
+    def edited(*new_lines):
+        return "\n".join(lines[: _HEAD + before] + list(new_lines) + lines[_HEAD + before + 1 :])
+
+    split_pair = line.replace(", ", ",\n      ", 1).split("\n")
+    deviations = {
+        "crlf": (text.replace("\n", "\r\n"), None),
+        "pair split over two lines": (edited(*split_pair), None),
+        "leading zero": (
+            text.replace('"n_qubits": 12', '"n_qubits": 012'),
+            "invalid document: Expecting ',' delimiter (at position 17)",
+        ),
+        "missing comma": (
+            edited(line[:-1]),
+            "invalid document: Expecting ',' delimiter (at position 65592)",
+        ),
+        "doubled comma": (
+            edited(line + ","),
+            "invalid document: Expecting value (at position 65588)",
+        ),
+        "bracket for the comma": (
+            edited(line[:-1] + "]"),
+            "invalid document: Expecting ',' delimiter (at position 65593)",
+        ),
+        "one line too many": (
+            edited(line, line),
+            "expected 4096 amplitudes for n_qubits=12, got 4097",
+        ),
+        "one line too few": (edited(), "expected 4096 amplitudes for n_qubits=12, got 4095"),
+    }
+    expected = parse_state(text).amplitudes
+    for name, (doc, message) in deviations.items():
+        if message is None:
+            assert np.array_equal(parse_state(doc).amplitudes, expected), name
+        else:
+            with pytest.raises(StateParseError, match=f"^{re.escape(message)}$"):
+                parse_state(doc)
+    # A trailing comma and a blank line after a last pair padded past a chunk
+    # boundary leave a last chunk of whitespace only. (The message for a
+    # trailing comma differs between Python versions.)
+    doc = "\n".join(lines[:-4] + [lines[-4] + " " * _CHUNK + ",", ""] + lines[-3:])
+    with pytest.raises(StateParseError, match=r"^invalid document: .* \(at position \d+\)$"):
+        parse_state(doc)
+
+
+# Lines of a serialize_state document before its first amplitude line.
+_HEAD = 3
+
+
+def _written_document_lines(num_qubits):
+    """A serialize_state document as a list of lines, and for each chunk
+    boundary of the chunked parse the index of the first amplitude past it."""
+    text = serialize_state(random_state(num_qubits, seed=num_qubits))
+    body = cut = text.index("[\n") + 2
+    end = text.rindex("\n  ]")
+    firsts = []
+    while (cut := text.find("\n", cut + _CHUNK, end)) != -1:
+        firsts.append(text.count("\n", body, cut) + 1)
+    return text.split("\n"), firsts
+
+
+def _plant(lines, index, pair):
+    """The document with amplitude ``index`` replaced by ``pair``, padded with
+    spaces to the length of the line it replaces so that no chunk boundary
+    moves."""
+    old = lines[_HEAD + index]
+    comma = "," if old.endswith(",") else ""
+    new = f"    {pair}".ljust(len(old) - len(comma)) + comma
+    return "\n".join(lines[: _HEAD + index] + [new] + lines[_HEAD + index + 1 :])
 
 
 def test_parse_large_integers_like_complex():
@@ -237,3 +331,80 @@ def test_parse_accepts_exponent_notation():
     state = parse_state('{"n_qubits": 1, "amplitudes": [[1.0e-3, 0], [0, -2E4]]}')
     assert state.amplitudes[0] == 1e-3
     assert state.amplitudes[1] == -2e4j
+
+
+_FUZZ_DOCUMENTS = {n: _written_document_lines(n) for n in range(8, 13)}
+_FUZZ_PAIRS = (
+    "[0, 1]", "[-0, -0.0]", "[1e308, -5e-324]", "[1e999, 0]", f"[{10**400}, 0]",
+    "[NaN, 0]", "[0, -Infinity]", "[true, 0]", "[1]", "[1, 2, 3]", "null", '"0, 0"',
+    "[[0, 0], 0]", '{"re": 0, "im": 0}', "[0, 0", "0, 0]", "[0 0]", "[]",
+)
+
+
+def _mutate(lines, row, kind, data):
+    """Apply one edit of kind ``kind`` to ``lines`` at ``row``, in place."""
+    line = lines[row]
+    if kind == "pair":
+        comma = "," if line.endswith(",") else ""
+        lines[row] = "    " + data.draw(st.sampled_from(_FUZZ_PAIRS)) + comma
+    elif kind == "delete":
+        del lines[row]
+    elif kind == "duplicate":
+        lines.insert(row, line)
+    elif kind == "split":
+        lines[row : row + 1] = line.replace(", ", ",\n      ", 1).split("\n")
+    elif kind == "double comma":
+        lines[row] = line + ","
+    elif kind == "drop comma":
+        lines[row] = line.removesuffix(",")
+    elif kind == "header":
+        lines[1] = data.draw(st.sampled_from(
+            ['  "n_qubits": 012,', '  "n_qubits": 27,', '  "n_qubits": 0,', '   "n_qubits": 9,',
+             '  "n_qubits": 9.0,', '  "n_qubits": true,', '  "n_qubit": 10,', '  "n_qubits": 11 ,']
+        ))
+    elif kind == "footer":
+        lines[-3:] = data.draw(st.sampled_from([["  ]", "}"], ["  ],", "}", ""], ["]}", ""]]))
+
+
+def _outcome(parse, text):
+    try:
+        state = parse(text)
+    except StateParseError as exc:
+        return type(exc), str(exc), exc.position
+    return state.num_qubits, state.amplitudes.view(np.uint64).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parse_state_matches_the_whole_document_oracle(data):
+    # Mutated serialize_state documents of 8-12 qubits (one to four chunks);
+    # the edited lines sit mostly next to chunk boundaries.
+    num_qubits = data.draw(st.integers(8, 12))
+    lines, firsts = _FUZZ_DOCUMENTS[num_qubits]
+    last = 2**num_qubits - 1
+    near = sorted({0, last, *(f + d for f in firsts for d in (-2, -1, 0, 1))})
+    lines = list(lines)
+    kinds = ["pair", "delete", "duplicate", "split", "double comma", "drop comma",
+             "header", "footer"]
+    for _ in range(data.draw(st.integers(0, 3))):
+        index = data.draw(st.sampled_from(near) | st.integers(0, last))
+        row = min(_HEAD + index, len(lines) - 4)
+        _mutate(lines, row, data.draw(st.sampled_from(kinds)), data)
+    newline = data.draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = newline.join(lines)
+    assert _outcome(parse_state, text) == _outcome(parse_state_whole, text)
+
+
+def test_parse_state_memory_is_bounded_on_the_written_layout():
+    # The chunked parse holds the amplitudes twice (its own array and
+    # PureState's copy) and the lists of one chunk; a whole-document JSON tree
+    # is about 11 times the amplitudes.
+    num_qubits = 16
+    text = serialize_state(random_state(num_qubits, seed=num_qubits))
+    tracemalloc.start()
+    try:
+        parse_state(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * 2**num_qubits
