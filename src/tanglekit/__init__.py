@@ -57,7 +57,6 @@ from .states import (
     StateParseError,
     load_state,
     make_named_state,
-    normalize,
     parse_state,
     random_state,
     serialize_state,

@@ -25,6 +25,8 @@ from .verify import SUITE_NAMES, run_suite
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+# Characters per file write: a whole document is never encoded in one copy.
+_WRITE_SLICE = 2**20
 
 _CSV_COLUMNS = (
     "partition",
@@ -93,7 +95,8 @@ def _write_output(text: str, path: str | None) -> int:
         return EXIT_OK
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for start in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[start : start + _WRITE_SLICE])
     except OSError as exc:
         print(f"error: cannot write output file: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,13 +11,12 @@ import numpy as np
 
 from .bipartition import Partition
 from .monotones import d_monotone, e_monotone
-from .states import PureState, normalize
+from .states import PureState
 
 COMPLETENESS_TOL = 1e-12
 # Operator-norm bound on the SL(2,C) samples of :func:`random_sl2`.
 SL2_MAX_NORM = 3.0
-# Branches this unlikely contribute zero instead of amplifying round-off
-# through a near-zero renormalization.
+# Branches this unlikely contribute zero, so a zero branch never divides 0 by 0.
 BRANCH_PROB_FLOOR = 1e-14
 
 _MONOTONES: dict[str, Callable[[PureState, Partition], float]] = {
@@ -157,7 +156,8 @@ def monotonicity_trial(
     for the monotone ``"d"`` or ``"e"``.
 
     For an entanglement monotone the average never exceeds the pre-measurement
-    value; branches with probability below 1e-14 contribute zero.
+    value.  By degree-4 homogeneity a branch of weight p adds ``fn(psi) / p``,
+    or zero if p is below :data:`BRANCH_PROB_FLOOR`.
     """
     if monotone not in _MONOTONES:
         raise ValueError(f"unknown monotone {monotone!r}; choose from {tuple(_MONOTONES)}")
@@ -167,5 +167,5 @@ def monotonicity_trial(
     for prob, psi in povm_branches(state, qubit, povm):
         if prob < BRANCH_PROB_FLOOR:
             continue
-        after += prob * fn(normalize(psi), partition)
+        after += fn(psi, partition) / prob
     return before, after

@@ -34,6 +34,9 @@ FOUR_QUBIT_LMN_SIGNS = (1.0, -1.0, 1.0)
 # Diagonal shift of the unit-trace Gram matrix in the full-rank check; see
 # _surely_full_rank for why it exceeds the round-off of any accepted size.
 _FULL_RANK_SHIFT = 1e-8
+# The norms |c| whose |c|**4 is a normal float (max**0.25 itself overflows).
+_NORM_MIN = float(np.finfo(float).tiny ** 0.25)
+_NORM_MAX = float(np.nextafter(np.finfo(float).max ** 0.25, 0.0))
 
 
 @dataclass(frozen=True)
@@ -49,11 +52,18 @@ class InvariantReport:
 
 
 def _scaled(z: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit-Frobenius copy of a reshape and the |c|**4 homogeneity factor it carries."""
-    scale = float(np.linalg.norm(z))
-    if scale == 0.0:
+    """Unit-Frobenius copy of a reshape and the |c|**4 homogeneity factor it carries.
+
+    A nonzero reshape with a norm outside [_NORM_MIN, _NORM_MAX] raises ValueError.
+    """
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
+        scale = float(np.linalg.norm(z))
+    if _NORM_MIN <= scale <= _NORM_MAX:
+        return z / scale, scale**4
+    if not z.any():
         return z, 0.0
-    return z / scale, scale**4
+    found = {0.0: "underflows", np.inf: "overflows"}.get(scale, f"is {scale:.3e}")
+    raise ValueError(f"state norm {found}, outside [{_NORM_MIN:.3e}, {_NORM_MAX:.3e}]")
 
 
 def _d_value(gram: np.ndarray, factor: float, partition: Partition) -> float:

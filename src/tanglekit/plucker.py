@@ -74,8 +74,4 @@ def gram_bilinear(z, m: int) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if z.ndim != 2 or z.shape[0] != 2**m:
         raise ValueError(f"expected 2**{m} = {2**m} rows, got shape {z.shape}")
-    # Named or inlined, this does not set the benchmark's cli-io peak RSS: `gen`
-    # does, and it reads 76 or 89 MB with either form, as the allocator places
-    # the encoded copy of the 18-qubit file in freed or in fresh memory.
-    gz = epsilon_apply(m, z)
-    return z.T @ gz
+    return z.T @ epsilon_apply(m, z)

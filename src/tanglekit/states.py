@@ -112,14 +112,6 @@ def random_state(num_qubits: int, seed=None) -> PureState:
     return make_named_state("haar-random", num_qubits, seed=seed)
 
 
-def normalize(state: PureState) -> PureState:
-    """Rescale to unit norm; raises on the zero vector."""
-    nrm = state.norm
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return PureState(state.num_qubits, state.amplitudes / nrm)
-
-
 def format_float(x: float) -> str:
     """A float with 17 significant digits, enough to round-trip exactly."""
     return f"{x:.17g}"

@@ -43,6 +43,12 @@ def test_gen_seeded_is_byte_identical(tmp_path, capsys):
     assert run_cli(capsys, "gen", "haar-random", "5", "--seed", "7", "-o", str(a))[0] == 0
     assert run_cli(capsys, "gen", "haar-random", "5", "--seed", "7", "-o", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+    # A 16-qubit document is written in several slices of cli._WRITE_SLICE characters.
+    big = tmp_path / "haar16.json"
+    assert run_cli(capsys, "gen", "haar-random", "16", "--seed", "16", "-o", str(big))[0] == 0
+    expected = serialize_state(make_named_state("haar-random", 16, seed=16))
+    assert len(expected) > 2 * cli._WRITE_SLICE
+    assert big.read_bytes() == expected.encode("utf-8")
 
 
 def test_gen_matches_committed_state_file(tmp_path, capsys):
@@ -251,6 +257,10 @@ def test_every_cli_error_path_exits_2_with_its_message(tmp_path, capsys):
         "one-qubit": '{"n_qubits": 1, "amplitudes": [[1, 0], [0, 0]]}',
         "not-json": "hello",
         "n27": '{"n_qubits": 27, "amplitudes": []}',
+        # |c|**4 overflows, the norm itself overflows, |c|**4 underflows
+        "c1e80": '{"n_qubits": 2, "amplitudes": [[1e80, 0], [0, 0], [0, 0], [1e80, 0]]}',
+        "c1e155": '{"n_qubits": 2, "amplitudes": [[1e155, 0], [0, 0], [0, 0], [1e155, 0]]}',
+        "c1e-90": '{"n_qubits": 2, "amplitudes": [[1e-90, 0], [0, 0], [0, 0], [1e-90, 0]]}',
     }
     for name, text in documents.items():
         (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
@@ -291,6 +301,18 @@ def test_every_cli_error_path_exits_2_with_its_message(tmp_path, capsys):
             (*compute, str(ghz3), "--all-partitions", "-o", str(unwritable)),
             "cannot write output file: [Errno 2] No such file or directory: "
             f"{str(unwritable)!r}",
+        ),
+        (
+            (*compute, str(tmp_path / "c1e80.json"), "--partition", "2"),
+            "state norm is 1.414e+80, outside [1.221e-77, 1.158e+77]",
+        ),
+        (
+            (*compute, str(tmp_path / "c1e155.json"), "--partition", "2"),
+            "state norm overflows, outside [1.221e-77, 1.158e+77]",
+        ),
+        (
+            (*compute, str(tmp_path / "c1e-90.json"), "--partition", "2"),
+            "state norm is 1.414e-90, outside [1.221e-77, 1.158e+77]",
         ),
         (("verify", "all", "--trials", "0"), "trials must be >= 1, got 0"),
         (("verify", "all", "--seed", "-1"), "expected non-negative integer"),

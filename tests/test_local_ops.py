@@ -5,6 +5,7 @@ import pytest
 
 from tanglekit.bipartition import Partition
 from tanglekit.local_ops import (
+    BRANCH_PROB_FLOOR,
     LocalOperator,
     PovmPair,
     apply_local,
@@ -14,8 +15,8 @@ from tanglekit.local_ops import (
     random_sl2,
     random_unitary,
 )
-from tanglekit.monotones import d_monotone, three_tangle
-from tanglekit.states import make_named_state, random_state
+from tanglekit.monotones import d_monotone, e_monotone, three_tangle
+from tanglekit.states import PureState, make_named_state, random_state
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -191,9 +192,16 @@ def test_monotonicity_random_suite():
         pair = random_povm_pair(rng)
         for selected in [(n,), (1,)]:
             part = Partition(n, selected)
-            for mono in ("d", "e"):
+            for mono, fn in (("d", d_monotone), ("e", e_monotone)):
                 before, after = monotonicity_trial(state, qubit, pair, mono, part)
                 assert after <= before + 1e-9
+                # the average over explicitly renormalized branches
+                ref = sum(
+                    p * fn(PureState(n, psi.amplitudes / np.sqrt(p)), part)
+                    for p, psi in povm_branches(state, qubit, pair)
+                    if p >= BRANCH_PROB_FLOOR
+                )
+                assert abs(after - ref) <= 1e-12 * max(abs(ref), 1.0)
 
 
 def test_monotonicity_trial_rejects_unknown_monotone():

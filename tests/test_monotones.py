@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from tanglekit.bipartition import Partition, reshape, unreshape
 from tanglekit.monotones import (
+    _NORM_MAX,
+    _NORM_MIN,
     FOUR_QUBIT_LMN_SIGNS,
     admissible_partitions,
     all_partitions_report,
@@ -383,3 +385,32 @@ def test_homogeneity_fourth_power():
         for mono in (d_monotone, e_monotone):
             expected = abs(c) ** 4 * mono(state, part)
             assert abs(mono(scaled, part) - expected) <= 1e-10 * max(1.0, expected)
+
+
+def test_norms_whose_fourth_power_is_not_a_normal_float_raise():
+    def bell_like(n, c):
+        amps = np.zeros(2**n, dtype=complex)
+        amps[0] = amps[-1] = c
+        return PureState(n, amps)
+
+    range_message = r"^state norm .*, outside \[1\.221e-77, 1\.158e\+77\]$"
+    p2 = Partition(2, (2,))
+    p5 = Partition(5, (4, 5))
+    # pytest turns warnings into errors here, so none of these may warn either.
+    for c in (1e80, 1e155, 1e-90):
+        for call in (d_monotone, e_monotone, partition_report):
+            with pytest.raises(ValueError, match=range_message):
+                call(bell_like(2, c), p2)
+        with pytest.raises(ValueError, match=range_message):
+            five_qubit_pfaffian_monotone(bell_like(5, c), p5)
+    for c in (1e76, 1e-76):
+        for value in (d_monotone(bell_like(2, c), p2), e_monotone(bell_like(2, c), p2)):
+            assert abs(value - 4 * c**4) <= 1e-12 * 4 * c**4
+    zero = partition_report(PureState(2, np.zeros(4)), p2)
+    assert zero.d_value == zero.e_value == 0.0 and zero.rank_deficient
+    # The ends of the range are the last norms whose fourth power is a normal float.
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    assert tiny <= _NORM_MIN**4 and np.nextafter(_NORM_MIN, 0.0) ** 4 < tiny
+    assert _NORM_MAX**4 <= huge
+    with pytest.raises(OverflowError):
+        float(np.nextafter(_NORM_MAX, np.inf)) ** 4

@@ -13,7 +13,6 @@ from tanglekit.states import (
     PureState,
     StateParseError,
     make_named_state,
-    normalize,
     parse_state,
     random_state,
     serialize_state,
@@ -71,29 +70,6 @@ def test_incompatible_name_and_size():
         make_named_state("w", 1)
     with pytest.raises(ValueError):
         make_named_state("spooky", 2)
-
-
-def test_normalize_scales_direction():
-    state = PureState(2, [2.0, 0.0, 0.0, 0.0])
-    out = normalize(state)
-    assert np.array_equal(out.amplitudes, [1.0, 0.0, 0.0, 0.0])
-
-
-def test_normalize_is_idempotent_on_bell():
-    bell = make_named_state("bell", 2)
-    out = normalize(bell)
-    assert np.abs(out.amplitudes - bell.amplitudes).max() < 1e-15
-
-
-def test_normalize_random_vector():
-    rng = np.random.default_rng(13)
-    state = PureState(3, rng.standard_normal(8) + 1j * rng.standard_normal(8))
-    assert abs(normalize(state).norm - 1.0) < 1e-12
-
-
-def test_normalize_rejects_zero_vector():
-    with pytest.raises(ValueError):
-        normalize(PureState(1, [0.0, 0.0]))
 
 
 def test_pure_state_validation():
