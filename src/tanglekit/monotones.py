@@ -10,8 +10,9 @@ For a partition with ``L = 2**(N-n) >= l = 2**n`` and reshape ``Z``:
 Both are homogeneous of degree 4 in the amplitudes, so unnormalized states are
 accepted.  Each partition is reshaped once; :func:`_scaled` divides that
 reshape by its Frobenius norm, to keep the determinants well conditioned, and
-returns the exact ``|c|**4`` scale, which :func:`_d_value`, :func:`_e_value`
-and the Pfaffian multiply back in.
+returns the exact ``|c|**4`` scale.  Nothing else rescales: ``_d_value``,
+``_e_value``, ``five_qubit_pfaffian_monotone``, ``_aux_invariant`` (Pfaffian) and
+``four_qubit_lmn`` multiply it back in, and ``four_qubit_h`` its square root.
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ class InvariantReport:
 
 
 def _scaled(z: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit-Frobenius copy of a reshape and the |c|**4 homogeneity factor it carries.
+    """Unit-norm copy of a reshape or an amplitude vector, and its |c|**4 factor.
 
-    A nonzero reshape with a norm outside [_NORM_MIN, _NORM_MAX] raises ValueError.
+    A nonzero input with a norm outside [_NORM_MIN, _NORM_MAX] raises ValueError.
     """
     with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
         scale = float(np.linalg.norm(z))
@@ -91,11 +92,10 @@ def e_monotone(state: PureState, partition: Partition) -> float:
 
 
 def concurrence_squared(state: PureState) -> float:
-    """``4 |det C|**2`` for a 2-qubit state, C the 2 x 2 amplitude matrix."""
+    """``4 |det C|**2`` for 2 qubits: the N-tangle, as det(C^T g C) = det(C)**2."""
     if state.num_qubits != 2:
         raise ValueError(f"concurrence is defined for 2 qubits, got {state.num_qubits}")
-    c = state.amplitudes.reshape(2, 2)
-    return 4.0 * abs(np.linalg.det(c)) ** 2
+    return n_tangle(state)
 
 
 def three_tangle(state: PureState) -> float:
@@ -106,7 +106,7 @@ def three_tangle(state: PureState) -> float:
     """
     if state.num_qubits != 3:
         raise ValueError(f"three_tangle is defined for 3 qubits, got {state.num_qubits}")
-    return e_monotone(state, Partition(3, (3,)))
+    return n_tangle(state)
 
 
 def four_qubit_h(state: PureState) -> complex:
@@ -119,8 +119,8 @@ def four_qubit_h(state: PureState) -> complex:
     """
     if state.num_qubits != 4:
         raise ValueError(f"H is defined for 4 qubits, got {state.num_qubits}")
-    c = state.amplitudes
-    return complex(
+    c, factor = _scaled(state.amplitudes)
+    return factor**0.5 * complex(
         c[0] * c[15] - c[2] * c[13] - c[4] * c[11] + c[6] * c[9]
         - c[8] * c[7] + c[10] * c[5] + c[12] * c[3] - c[14] * c[1]
     )
@@ -138,8 +138,8 @@ def four_qubit_lmn(state: PureState) -> tuple[complex, complex, complex]:
         raise ValueError(f"L/M/N are defined for 4 qubits, got {state.num_qubits}")
     values = []
     for sign, selected in zip(FOUR_QUBIT_LMN_SIGNS, FOUR_QUBIT_LMN_SELECTIONS):
-        z = reshape(state, Partition(4, selected))
-        values.append(sign * complex(np.linalg.det(z)))
+        z, factor = _scaled(reshape(state, Partition(4, selected)))
+        values.append(sign * factor * complex(np.linalg.det(z)))
     return tuple(values)
 
 

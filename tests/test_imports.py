@@ -32,7 +32,7 @@ def test_no_module_imports_a_private_sibling_name():
 
 
 # Paper quantities kept as public API although no module in the package calls them.
-PAPER_QUANTITIES = ("concurrence_squared", "three_tangle", "n_tangle", "meyer_wallach_q")
+PAPER_QUANTITIES = ("concurrence_squared", "three_tangle", "meyer_wallach_q")
 
 
 def _orphan_names(package_dir: Path) -> list[str]:

@@ -95,9 +95,12 @@ def test_concurrence_squared_values():
     assert concurrence_squared(uniform) < 1e-15
 
 
-def test_concurrence_equals_e_monotone():
-    state = random_state(2, seed=100)
-    assert abs(concurrence_squared(state) - e_monotone(state, Partition(2, (2,)))) < 1e-12
+def test_concurrence_equals_four_det_squared():
+    # The definition 4 |det C|**2, an oracle apart from the N-tangle path it takes.
+    for seed in range(100, 110):
+        state = random_state(2, seed=seed)
+        expected = 4.0 * abs(np.linalg.det(state.amplitudes.reshape(2, 2))) ** 2
+        assert abs(concurrence_squared(state) - expected) < 1e-12
 
 
 def test_concurrence_rejects_other_sizes():
@@ -301,6 +304,10 @@ def test_report_values_match_monotone_calls():
             if report.aux_name == "pfaffian":
                 expected = five_qubit_pfaffian_monotone(state, part)
                 assert abs(16.0 * abs(report.aux_value) - expected) <= 1e-12 * expected
+            elif report.aux_name == "H":
+                assert report.aux_value == four_qubit_h(state)
+            elif report.aux_name is not None:
+                assert report.aux_value == four_qubit_lmn(state)["LMN".index(report.aux_name)]
     for report in all_partitions_report(zero5):
         assert report.d_value == report.e_value == 0.0
         assert report.rank_deficient
@@ -403,9 +410,24 @@ def test_norms_whose_fourth_power_is_not_a_normal_float_raise():
                 call(bell_like(2, c), p2)
         with pytest.raises(ValueError, match=range_message):
             five_qubit_pfaffian_monotone(bell_like(5, c), p5)
+        with pytest.raises(ValueError, match=range_message):
+            concurrence_squared(bell_like(2, c))
+        for named in (four_qubit_h, four_qubit_lmn):
+            with pytest.raises(ValueError, match=range_message):
+                named(bell_like(4, c))
+    haar4 = random_state(4, seed=3)
+    unit_lmn = four_qubit_lmn(haar4)
     for c in (1e76, 1e-76):
-        for value in (d_monotone(bell_like(2, c), p2), e_monotone(bell_like(2, c), p2)):
+        for value in (
+            d_monotone(bell_like(2, c), p2),
+            e_monotone(bell_like(2, c), p2),
+            concurrence_squared(bell_like(2, c)),
+        ):
             assert abs(value - 4 * c**4) <= 1e-12 * 4 * c**4
+        assert abs(four_qubit_h(bell_like(4, c)) - c**2) <= 1e-12 * c**2
+        scaled_lmn = four_qubit_lmn(PureState(4, c * haar4.amplitudes))
+        for value, unit in zip(scaled_lmn, unit_lmn):
+            assert abs(value - c**4 * unit) <= 1e-12 * abs(c**4 * unit)
     zero = partition_report(PureState(2, np.zeros(4)), p2)
     assert zero.d_value == zero.e_value == 0.0 and zero.rank_deficient
     # The ends of the range are the last norms whose fourth power is a normal float.
