@@ -410,11 +410,9 @@ def test_norms_whose_fourth_power_is_not_a_normal_float_raise():
                 call(bell_like(2, c), p2)
         with pytest.raises(ValueError, match=range_message):
             five_qubit_pfaffian_monotone(bell_like(5, c), p5)
-        with pytest.raises(ValueError, match=range_message):
-            concurrence_squared(bell_like(2, c))
-        for named in (four_qubit_h, four_qubit_lmn):
+        for named, n in ((concurrence_squared, 2), (four_qubit_h, 4), (four_qubit_lmn, 4)):
             with pytest.raises(ValueError, match=range_message):
-                named(bell_like(4, c))
+                named(bell_like(n, c))
     haar4 = random_state(4, seed=3)
     unit_lmn = four_qubit_lmn(haar4)
     for c in (1e76, 1e-76):
