@@ -21,6 +21,7 @@ Conventions (these fix every identity downstream):
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from functools import cache, reduce
 
@@ -90,12 +91,11 @@ class Partition:
 
     @classmethod
     def from_label(cls, num_qubits: int, label: str) -> "Partition":
-        """Parse the CLI syntax, e.g. ``"3,4"``."""
-        try:
-            positions = tuple(int(tok) for tok in label.split(","))
-        except ValueError:
-            raise ValueError(f"malformed partition spec {label!r}") from None
-        return cls(num_qubits, positions)
+        """Parse the CLI syntax, e.g. ``"3,4"``. Positions are ASCII decimals:
+        ``int`` alone would read the typo ``"1_2"`` as 12."""
+        if not re.fullmatch(r" *[0-9]+ *(, *[0-9]+ *)*", label):
+            raise ValueError(f"malformed partition spec {label!r}")
+        return cls(num_qubits, tuple(int(tok) for tok in label.split(",")))
 
 
 def reshape(state: PureState, partition: Partition) -> np.ndarray:

@@ -12,7 +12,6 @@ import json
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import NoReturn
 
 import numpy as np
 
@@ -140,11 +139,18 @@ def parse_state(text: str) -> PureState:
 
     A document in exactly the layout :func:`serialize_state` writes is parsed
     a chunk of lines at a time (:func:`_parse_written_layout`); any other
-    document, and any document that path turns down, is parsed whole here.
+    document, and any that path turns down, whole (:func:`_parse_document`).
+    Both end in this one exit, where ``PureState`` refuses a non-finite value.
     """
-    state = _parse_written_layout(text)
-    if state is not None:
-        return state
+    n, flat = _parse_written_layout(text) or _parse_document(text)
+    try:
+        return PureState(n, flat.view(complex))
+    except ValueError as exc:  # n and the length are checked: only finiteness is left
+        raise StateParseError(str(exc)) from None
+
+
+def _parse_document(text: str) -> tuple[int, np.ndarray]:
+    """``n_qubits`` and the amplitude components of a whole JSON state document."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -169,35 +175,25 @@ def parse_state(text: str) -> PureState:
         raise StateParseError(
             f"expected {2**n} amplitudes for n_qubits={n}, got {len(raw)}"
         )
-    flat = _pair_components(raw)
-    if flat is None:
-        _raise_first_bad_amplitude(raw)
-    amps = flat.view(complex)
-    if not np.all(np.isfinite(amps)):
-        raise StateParseError("amplitudes must be finite")
-    return PureState(n, amps)
+    return n, _pair_components(raw)
 
 
-def _pair_components(raw: list) -> np.ndarray | None:
-    """The components of ``raw``'s ``[re, im]`` pairs as one float64 array, or
-    None if any pair is not two numbers a float can hold."""
+def _pair_components(raw: list) -> np.ndarray:
+    """The components of ``raw``'s ``[re, im]`` pairs as one float64 array; raises
+    the StateParseError that names, by its index in ``raw``, the first pair that
+    is not two numbers a float can hold."""
     # json.loads yields exact int/float/bool types, so these set tests accept
-    # exactly the pairs _raise_first_bad_amplitude accepts.
+    # exactly the pairs the loop below accepts.
     components = itertools.chain.from_iterable
-    if not (
+    if (
         set(map(type, raw)) <= {list}
         and set(map(len, raw)) <= {2}
         and set(map(type, components(raw))) <= {int, float}
     ):
-        return None
-    try:
-        return np.fromiter(components(raw), float, count=2 * len(raw))
-    except OverflowError:
-        return None
-
-
-def _raise_first_bad_amplitude(raw: list) -> NoReturn:
-    """Raise the error of the first pair that is not two numbers a float can hold."""
+        try:
+            return np.fromiter(components(raw), float, count=2 * len(raw))
+        except OverflowError:
+            pass
     for i, pair in enumerate(raw):
         ok = (
             isinstance(pair, list)
@@ -213,7 +209,7 @@ def _raise_first_bad_amplitude(raw: list) -> NoReturn:
     raise AssertionError("no bad amplitude pair found")
 
 
-def _parse_written_layout(text: str) -> PureState | None:
+def _parse_written_layout(text: str) -> tuple[int, np.ndarray] | None:
     """Parse a document in the exact layout of :func:`serialize_state` without
     building its whole JSON tree, or return None on any deviation.
 
@@ -229,14 +225,15 @@ def _parse_written_layout(text: str) -> PureState | None:
       lists with commas gives the same array, in the same order.
 
     Every pair passes the same :func:`_pair_components` test as the whole
-    path. A chunk ``json`` rejects, a bad pair, a wrong count or a non-finite
-    value returns None, and the whole-document path then raises the error.
+    path. A text too short for ``2**n`` pairs of at least ``[0,0]`` (checked
+    before allocating), a chunk ``json`` rejects, a bad pair or a wrong count
+    returns None, and the whole-document path then raises the error.
     """
     header = _WRITTEN_HEADER.match(text) if isinstance(text, str) else None
     if header is None or not text.endswith(_WRITTEN_FOOTER):
         return None
     n = int(header.group(1))
-    if n > MAX_QUBITS:
+    if n > MAX_QUBITS or len(text) < 5 * 2**n:
         return None
     flat = np.empty(2 * 2**n)
     filled = 0
@@ -251,20 +248,17 @@ def _parse_written_layout(text: str) -> PureState | None:
         else:
             return None
         try:
-            raw = json.loads("[" + chunk + "]")
+            values = _pair_components(json.loads("[" + chunk + "]"))
         except (ValueError, RecursionError):
             return None
-        if not raw or filled + 2 * len(raw) > flat.size:
-            return None
-        values = _pair_components(raw)
-        if values is None:
+        if not values.size or filled + values.size > flat.size:
             return None
         flat[filled : filled + values.size] = values
         filled += values.size
         start = stop
-    if filled != flat.size or not np.all(np.isfinite(flat)):
+    if filled != flat.size:
         return None
-    return PureState(n, flat.view(complex))
+    return n, flat
 
 
 def load_state(path) -> PureState:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -65,8 +67,13 @@ def test_partition_validation():
 
 def test_partition_from_label():
     assert Partition.from_label(4, "3,4").selected == (3, 4)
+    assert Partition.from_label(4, " 3").selected == (3,)
     with pytest.raises(ValueError):
         Partition.from_label(4, "3;4")
+    # int() alone reads "1_2" as 12, "\u0661" (Arabic-Indic one) as 1 and "+2" as 2.
+    for label in ("1_2", "\u0661", "+2"):
+        with pytest.raises(ValueError, match=f"^malformed partition spec {re.escape(repr(label))}$"):
+            Partition.from_label(13, label)
 
 
 def test_reshape_last_qubit_of_three():

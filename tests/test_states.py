@@ -1,3 +1,4 @@
+import contextlib
 import json
 import re
 import tracemalloc
@@ -374,13 +375,34 @@ def test_parse_state_matches_the_whole_document_oracle(data):
 def test_parse_state_memory_is_bounded_on_the_written_layout():
     # The chunked parse holds the amplitudes twice (its own array and
     # PureState's copy) and the lists of one chunk; a whole-document JSON tree
-    # is about 11 times the amplitudes.
+    # is about 11 times the amplitudes. A non-finite value is refused after the
+    # one chunked pass, not by a second, whole-document parse.
     num_qubits = 16
     text = serialize_state(random_state(num_qubits, seed=num_qubits))
+    nan_first = _plant(text.split("\n"), 0, "[NaN, 0]")
+    not_finite = pytest.raises(StateParseError, match="^amplitudes must be finite$")
+    for doc, outcome in ((text, contextlib.nullcontext()), (nan_first, not_finite)):
+        tracemalloc.start()
+        try:
+            with outcome:
+                parse_state(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 16 * 2**num_qubits
+
+
+def test_parse_state_refuses_a_short_file_before_allocating_its_register():
+    # The header of a written document claims 26 qubits, whose components would
+    # take 1 GiB, but the file holds two pairs.
+    text = '{\n  "n_qubits": 26,\n  "amplitudes": [\n    [1, 0],\n    [0, 0]\n  ]\n}\n'
     tracemalloc.start()
     try:
-        parse_state(text)
+        with pytest.raises(
+            StateParseError, match="^expected 67108864 amplitudes for n_qubits=26, got 2$"
+        ):
+            parse_state(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 16 * 2**num_qubits
+    assert peak < 2**20
