@@ -10,9 +10,9 @@ For a partition with ``L = 2**(N-n) >= l = 2**n`` and reshape ``Z``:
 Both are homogeneous of degree 4 in the amplitudes, so unnormalized states are
 accepted.  Each partition is reshaped once; :func:`_scaled` divides that
 reshape by its Frobenius norm, to keep the determinants well conditioned, and
-returns the exact ``|c|**4`` scale.  Nothing else rescales: ``_d_value``,
-``_e_value``, ``five_qubit_pfaffian_monotone``, ``_aux_invariant`` (Pfaffian) and
-``four_qubit_lmn`` multiply it back in, and ``four_qubit_h`` its square root.
+returns the exact ``|c|**4`` scale.  Nothing else rescales.  Every value is
+formed on the unit-norm input, where it is at most about 1, and leaves through
+:func:`_unscaled`, times the scale (its square root for ``four_qubit_h``).
 """
 
 from __future__ import annotations
@@ -67,16 +67,29 @@ def _scaled(z: np.ndarray) -> tuple[np.ndarray, float]:
     raise ValueError(f"state norm {found}, outside [{_NORM_MIN:.3e}, {_NORM_MAX:.3e}]")
 
 
+def _unscaled(factor: float, unit_value):
+    """``factor * unit_value``; ValueError if a nonzero value ends subnormal or 0."""
+    value = factor * unit_value
+    if unit_value and abs(value) < np.finfo(float).tiny:
+        raise ValueError(f"result {abs(value):.3e} is below the normal float range")
+    return value
+
+
+def _require_qubits(state: PureState, k: int, name: str) -> None:
+    if state.num_qubits != k:
+        raise ValueError(f"{name} is defined for {k} qubits, got {state.num_qubits}")
+
+
 def _d_value(gram: np.ndarray, factor: float, partition: Partition) -> float:
     """D from the Hermitian Gram matrix of the scaled reshape."""
     det = float(np.linalg.det(gram).real)
-    return factor * partition.l**2 * max(det, 0.0) ** (2.0 / partition.l)
+    return _unscaled(factor, partition.l**2 * max(det, 0.0) ** (2.0 / partition.l))
 
 
 def _e_value(gram: np.ndarray, factor: float, partition: Partition) -> float:
     """E from the ε-bilinear Gram matrix of the scaled reshape."""
     det = np.linalg.det(gram)
-    return factor * partition.l**2 * float(abs(det)) ** (2.0 / partition.l)
+    return _unscaled(factor, partition.l**2 * float(abs(det)) ** (2.0 / partition.l))
 
 
 def d_monotone(state: PureState, partition: Partition) -> float:
@@ -93,8 +106,7 @@ def e_monotone(state: PureState, partition: Partition) -> float:
 
 def concurrence_squared(state: PureState) -> float:
     """``4 |det C|**2`` for 2 qubits: the N-tangle, as det(C^T g C) = det(C)**2."""
-    if state.num_qubits != 2:
-        raise ValueError(f"concurrence is defined for 2 qubits, got {state.num_qubits}")
+    _require_qubits(state, 2, "concurrence_squared")
     return n_tangle(state)
 
 
@@ -104,8 +116,7 @@ def three_tangle(state: PureState) -> float:
     Evaluated from the last-qubit partition; the other two give the same value
     by permutation invariance.
     """
-    if state.num_qubits != 3:
-        raise ValueError(f"three_tangle is defined for 3 qubits, got {state.num_qubits}")
+    _require_qubits(state, 3, "three_tangle")
     return n_tangle(state)
 
 
@@ -117,13 +128,12 @@ def four_qubit_h(state: PureState) -> complex:
     ``C0 C15 - C2 C13 - C4 C11 + C6 C9 - C8 C7 + C10 C5 + C12 C3 - C14 C1``.
     Satisfies ``e_monotone({4}) = 4 |H|**2``.
     """
-    if state.num_qubits != 4:
-        raise ValueError(f"H is defined for 4 qubits, got {state.num_qubits}")
+    _require_qubits(state, 4, "four_qubit_h")
     c, factor = _scaled(state.amplitudes)
-    return factor**0.5 * complex(
+    return _unscaled(factor**0.5, complex(
         c[0] * c[15] - c[2] * c[13] - c[4] * c[11] + c[6] * c[9]
         - c[8] * c[7] + c[10] * c[5] + c[12] * c[3] - c[14] * c[1]
-    )
+    ))
 
 
 def four_qubit_lmn(state: PureState) -> tuple[complex, complex, complex]:
@@ -134,12 +144,11 @@ def four_qubit_lmn(state: PureState) -> tuple[complex, complex, complex]:
     the fixed orientation signs :data:`FOUR_QUBIT_LMN_SIGNS`; ``e_monotone`` of
     those partitions equals 16|L|, 16|M|, 16|N|.
     """
-    if state.num_qubits != 4:
-        raise ValueError(f"L/M/N are defined for 4 qubits, got {state.num_qubits}")
+    _require_qubits(state, 4, "four_qubit_lmn")
     values = []
     for sign, selected in zip(FOUR_QUBIT_LMN_SIGNS, FOUR_QUBIT_LMN_SELECTIONS):
         z, factor = _scaled(reshape(state, Partition(4, selected)))
-        values.append(sign * factor * complex(np.linalg.det(z)))
+        values.append(_unscaled(factor, sign * complex(np.linalg.det(z))))
     return tuple(values)
 
 
@@ -162,20 +171,16 @@ def five_qubit_pfaffian_monotone(state: PureState, partition: Partition) -> floa
     ``|det|**(1/2) = |Pf|`` and the monotone is ``16 |Pf|``; agrees with the
     generic ``e_monotone`` determinant path.
     """
-    if state.num_qubits != 5:
-        raise ValueError(
-            f"the Pfaffian form is for 5-qubit states, got {state.num_qubits}"
-        )
+    _require_qubits(state, 5, "five_qubit_pfaffian_monotone")
     if partition.n != 2:
         raise ValueError(f"the Pfaffian form needs n = 2, got n = {partition.n}")
     z, factor = _scaled(reshape(state, partition))
-    return 16.0 * abs(factor * pfaffian(gram_bilinear(z, partition.m)))
+    return _unscaled(factor, 16.0 * abs(pfaffian(gram_bilinear(z, partition.m))))
 
 
 def meyer_wallach_q(state: PureState) -> float:
     """Average single-qubit linear entropy of a 3-qubit state (the Q measure)."""
-    if state.num_qubits != 3:
-        raise ValueError(f"defined for 3 qubits, got {state.num_qubits}")
+    _require_qubits(state, 3, "meyer_wallach_q")
     return sum(d_monotone(state, Partition(3, (k,))) for k in (1, 2, 3)) / 3.0
 
 
@@ -207,7 +212,7 @@ def _aux_invariant(
         idx = FOUR_QUBIT_LMN_SELECTIONS.index(partition.selected)
         return "LMN"[idx], four_qubit_lmn(state)[idx]
     if n_total == 5 and partition.n == 2:
-        return "pfaffian", factor * pfaffian(bilinear_gram)
+        return "pfaffian", _unscaled(factor, pfaffian(bilinear_gram))
     return None, None
 
 

@@ -1,9 +1,9 @@
 """Randomized verification suites behind the ``verify`` CLI command.
 
-Each property draws its own deterministic random stream (seeded per property
-from the run seed), measures the worst residual observed, and compares it to
-the tolerance the property is specified at.  Residuals for quantities bounded
-by 1 at unit norm are measured against ``max(|a|, |b|, 1)``.
+Each property takes one random draw per trial from its own stream, spawned from
+the run seed by its place among all properties and so the same in every suite,
+and compares its worst residual to its tolerance.  Residuals for quantities
+bounded by 1 at unit norm are measured against ``max(|a|, |b|, 1)``.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ class CheckResult:
     passed: bool
 
 
-# The checks of each suite, in the order the @_check decorators below run.
-_SUITE_CHECKS: dict[str, list[Callable[[int, np.random.Generator], CheckResult]]] = {}
+# (suite, check) in the order the @_check decorators below run: the stream order.
+_CHECKS: list[tuple[str, Callable[[int, np.random.Generator], CheckResult]]] = []
 
 
 def _check(suite: str, name: str, tolerance: float):
@@ -96,7 +96,7 @@ def _check(suite: str, name: str, tolerance: float):
                         worst = residual
             return CheckResult(name, tolerance, float(worst), count, worst <= tolerance)
 
-        _SUITE_CHECKS.setdefault(suite, []).append(check)
+        _CHECKS.append((suite, check))
         return check
 
     return decorate
@@ -144,34 +144,31 @@ def check_gauge_covariance(trials: int, rng: np.random.Generator):
 # cauchy-binet
 
 
-def _minor_sum_hermitian(z: np.ndarray) -> float:
-    return float(sum(abs(value) ** 2 for value in maximal_minors(z).tolist()))
-
-
-def _minor_sum_bilinear(z: np.ndarray, m: int) -> complex:
-    # Cauchy-Binet applied to det(Z^T g Z) with the metric materialized: the
-    # raised minor of a row combination is the matching minor of g @ Z.
-    raised = maximal_minors(epsilon_matrix(m) @ z).tolist()
-    plain = maximal_minors(z).tolist()
-    return complex(sum(r * p for r, p in zip(raised, plain)))
+def _cauchy_binet(sides, trials: int, rng: np.random.Generator):
+    # ``sides(Z, m, p)`` gives a Gram matrix of Z and the minors that pair with
+    # Z's maximal minors p in the Cauchy-Binet expansion of its determinant:
+    # conj(p) for Z^H Z, and the minors of g @ Z for Z^T g Z with g materialized.
+    for state, partitions in _random_states(trials, rng):
+        residuals = []
+        for part in partitions:
+            z = reshape(state, part)
+            p = maximal_minors(z)
+            gram, raised = sides(z, part.m, p)
+            residuals.append(_rel(complex(np.linalg.det(gram)), complex(raised @ p)))
+        yield residuals
 
 
 @_check("cauchy-binet", "cauchy-binet-hermitian", 1e-10)
 def check_cauchy_binet_hermitian(trials: int, rng: np.random.Generator):
-    for state, partitions in _random_states(trials, rng):
-        for part in partitions:
-            z = reshape(state, part)
-            gram_path = float(np.linalg.det(gram_hermitian(z)).real)
-            yield (_rel(gram_path, _minor_sum_hermitian(z)),)
+    return _cauchy_binet(lambda z, m, p: (gram_hermitian(z), p.conj()), trials, rng)
 
 
 @_check("cauchy-binet", "cauchy-binet-bilinear", 1e-10)
 def check_cauchy_binet_bilinear(trials: int, rng: np.random.Generator):
-    for state, partitions in _random_states(trials, rng):
-        for part in partitions:
-            z = reshape(state, part)
-            gram_path = complex(np.linalg.det(gram_bilinear(z, part.m)))
-            yield (_rel(gram_path, _minor_sum_bilinear(z, part.m)),)
+    def sides(z, m, p):
+        return gram_bilinear(z, m), maximal_minors(epsilon_matrix(m) @ z)
+
+    return _cauchy_binet(sides, trials, rng)
 
 
 @_check("cauchy-binet", "epsilon-form", 0.0)
@@ -277,20 +274,19 @@ def check_permutation_four_qubit(trials: int, rng: np.random.Generator):
 
 @_check("monotonicity", "povm-monotonicity", 1e-9)
 def check_povm_monotonicity(trials: int, rng: np.random.Generator):
-    # ``trials`` per register size; the residual is after - before, so a
-    # monotone that strictly decreases on average gives a negative one.
-    for n_qubits in (2, 3, 4):
-        partitions = admissible_partitions(n_qubits)
-        for _ in range(trials):
+    # One state per register size per trial; the residual is after - before,
+    # so a monotone that strictly decreases on average gives a negative one.
+    for _ in range(trials):
+        residuals = []
+        for n_qubits in (2, 3, 4):
             state = random_state(n_qubits, seed=rng)
             qubit = int(rng.integers(1, n_qubits + 1))
             povm = random_povm_pair(rng)
-            residuals = []
-            for part in partitions:
+            for part in admissible_partitions(n_qubits):
                 for mono in ("d", "e"):
                     before, after = monotonicity_trial(state, qubit, povm, mono, part)
                     residuals.append(after - before)
-            yield residuals
+        yield residuals
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +341,18 @@ def check_pfaffian_five_qubit(trials: int, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 # running suites
 
-SUITE_NAMES = (*_SUITE_CHECKS, "all")
+SUITE_NAMES = (*dict.fromkeys(suite for suite, _ in _CHECKS), "all")
 
 
 def run_suite(suite: str, trials: int = 100, seed: int = 0) -> list[CheckResult]:
-    """Run one named suite (or ``"all"``) and return per-property results."""
-    if suite == "all":
-        checks = [fn for fns in _SUITE_CHECKS.values() for fn in fns]
-    elif suite in _SUITE_CHECKS:
-        checks = _SUITE_CHECKS[suite]
-    else:
+    """Run one named suite (or ``"all"``) and return per-property results, each
+    from ``trials`` draws that depend only on ``seed`` and the property.
+    """
+    if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    streams = np.random.SeedSequence(seed).spawn(len(checks))
+    streams = np.random.SeedSequence(seed).spawn(len(_CHECKS))
     return [
-        fn(trials, np.random.default_rng(stream))
-        for fn, stream in zip(checks, streams)
+        check(trials, np.random.default_rng(stream))
+        for (owner, check), stream in zip(_CHECKS, streams)
+        if suite in (owner, "all")
     ]

@@ -177,6 +177,8 @@ def test_epsilon_apply_rejects_wrong_length():
 def test_parity_signs_pattern():
     assert np.array_equal(parity_signs(2), [1.0, -1.0, -1.0, 1.0])
     assert np.array_equal(parity_signs(0), [1.0])
+    with pytest.raises(ValueError, match="^m must be >= 0$"):
+        parity_signs(-1)
 
 
 def test_parity_signs_is_one_read_only_table_per_m():

@@ -43,6 +43,8 @@ def test_pfaffian_empty_matrix_is_one():
 def test_pfaffian_rejects_odd_dimension():
     with pytest.raises(ValueError):
         pfaffian(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match=r"^pfaffian needs a square matrix, got shape"):
+        pfaffian(np.zeros((2, 4)))
 
 
 def test_pfaffian_rejects_asymmetric_input():
@@ -95,3 +97,7 @@ def test_maximal_minors_count_matches_binomial():
 def test_maximal_minors_rejects_wide_matrix():
     with pytest.raises(ValueError):
         maximal_minors(np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="^expected a 2-d matrix, got ndim=1$"):
+        maximal_minors(np.zeros(4))
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        maximal_minors([[1.0], [np.nan]])

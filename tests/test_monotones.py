@@ -104,7 +104,9 @@ def test_concurrence_equals_four_det_squared():
 
 
 def test_concurrence_rejects_other_sizes():
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match="^concurrence_squared is defined for 2 qubits, got 3$"
+    ):
         concurrence_squared(GHZ3)
 
 
@@ -124,7 +126,9 @@ def test_three_tangle_partition_agreement():
 
 
 def test_three_tangle_rejects_other_sizes():
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match="^three_tangle is defined for 3 qubits, got 4$"
+    ):
         three_tangle(GHZ4)
 
 
@@ -142,8 +146,14 @@ def test_four_qubit_h_squares_to_e_monotone():
 
 
 def test_four_qubit_h_rejects_other_sizes():
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match="^four_qubit_h is defined for 4 qubits, got 3$"
+    ):
         four_qubit_h(GHZ3)
+    with pytest.raises(
+        ValueError, match="^four_qubit_lmn is defined for 4 qubits, got 5$"
+    ):
+        four_qubit_lmn(GHZ5)
 
 
 def test_four_qubit_lmn_sign_convention_frozen():
@@ -230,7 +240,9 @@ def test_five_qubit_pfaffian_product_state():
 
 
 def test_five_qubit_pfaffian_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match="^five_qubit_pfaffian_monotone is defined for 5 qubits"
+    ):
         five_qubit_pfaffian_monotone(GHZ4, Partition(4, (3, 4)))
     with pytest.raises(ValueError):
         five_qubit_pfaffian_monotone(GHZ5, Partition(5, (5,)))
@@ -240,7 +252,9 @@ def test_meyer_wallach_values():
     assert abs(meyer_wallach_q(GHZ3) - 1.0) < 1e-10
     assert meyer_wallach_q(make_named_state("product-zero", 3)) == 0.0
     assert abs(meyer_wallach_q(W3) - 8.0 / 9.0) < 1e-10
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match="^meyer_wallach_q is defined for 3 qubits, got 4$"
+    ):
         meyer_wallach_q(GHZ4)
 
 
@@ -426,6 +440,37 @@ def test_norms_whose_fourth_power_is_not_a_normal_float_raise():
         scaled_lmn = four_qubit_lmn(PureState(4, c * haar4.amplitudes))
         for value, unit in zip(scaled_lmn, unit_lmn):
             assert abs(value - c**4 * unit) <= 1e-12 * abs(c**4 * unit)
+    # Inside the range a value is formed at unit norm before the scale comes back
+    # in, so none overflows at the top; at the bottom one that would come out
+    # subnormal, or 0 from a nonzero unit value, raises.
+    top = bell_like(2, 8e76)  # norm 1.131e77; 4 c**4 = 1.6384e308 is a float
+    for value in (d_monotone(top, p2), e_monotone(top, p2), concurrence_squared(top)):
+        assert abs(value - 4 * 8e76**4) <= 1e-12 * 4 * 8e76**4
+    edge = PureState(2, [1.15e77, 0, 0, 0])
+    assert d_monotone(edge, p2) == e_monotone(edge, p2) == 0.0
+    for report in all_partitions_report(bell_like(4, 9.9e76 / np.sqrt(2))):
+        if report.partition.n == 2:  # the square reshapes have rank 2, not 4
+            assert report.d_value == report.e_value == report.aux_value == 0.0
+    # At norm 2e-77 a near-product D of 1.9e-12 |c|**4 is subnormal, and one of
+    # about 1e-24 |c|**4 underflows to 0.
+    subnormal = r"^result \S+ is below the normal float range$"
+    for eps in (1e-6, 1e-12):
+        amps = np.array([1, 0, 0, 0]) + eps * random_state(2, seed=1).amplitudes
+        near_product = PureState(2, 2e-77 * amps / np.linalg.norm(amps))
+        for call in (d_monotone, e_monotone, partition_report):
+            with pytest.raises(ValueError, match=subnormal):
+                call(near_product, p2)
+    tiny_haar4 = PureState(4, 2e-77 * haar4.amplitudes)
+    tiny_haar5 = PureState(5, 2e-77 * random_state(5, seed=3).amplitudes)
+    for call, state, part in (
+        (partition_report, tiny_haar4, Partition(4, (3, 4))),
+        (five_qubit_pfaffian_monotone, tiny_haar5, p5),
+        (partition_report, tiny_haar5, p5),
+    ):
+        with pytest.raises(ValueError, match=subnormal):
+            call(state, part)
+    with pytest.raises(ValueError, match=subnormal):
+        four_qubit_lmn(tiny_haar4)
     zero = partition_report(PureState(2, np.zeros(4)), p2)
     assert zero.d_value == zero.e_value == 0.0 and zero.rank_deficient
     # The ends of the range are the last norms whose fourth power is a normal float.

@@ -145,6 +145,8 @@ def test_parse_rejects_bad_fields():
         parse_state('{"n_qubits": 1, "amplitudes": [[1, 0], [0, true]]}')
     with pytest.raises(StateParseError):
         parse_state('[1, 2]')
+    with pytest.raises(StateParseError, match="^'amplitudes' must be an array$"):
+        parse_state('{"n_qubits": 1, "amplitudes": {"0": [1, 0], "1": [0, 0]}}')
     for n_qubits in (27, 100000):
         doc = f'{{"n_qubits": {n_qubits}, "amplitudes": []}}'
         with pytest.raises(StateParseError, match=f"^'n_qubits' must be <= 26, got {n_qubits}$"):
