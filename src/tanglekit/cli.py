@@ -59,8 +59,8 @@ def _record_fields(report: InvariantReport, monotone: str) -> dict[str, str | No
 
 
 def _render_json(n_qubits: int, reports: list[InvariantReport], monotone: str) -> str:
-    lines = ["{", f'  "n_qubits": {n_qubits},', '  "records": [']
-    for i, report in enumerate(reports):
+    records = []
+    for report in reports:
         fields = _record_fields(report, monotone)
         parts = []
         for key in _CSV_COLUMNS:
@@ -72,11 +72,9 @@ def _render_json(n_qubits: int, reports: list[InvariantReport], monotone: str) -
             else:
                 rendered = value
             parts.append(f'"{key}": {rendered}')
-        sep = "" if i == len(reports) - 1 else ","
-        lines.append("    {" + ", ".join(parts) + "}" + sep)
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        records.append("    {" + ", ".join(parts) + "}")
+    body = ",\n".join(records)
+    return f'{{\n  "n_qubits": {n_qubits},\n  "records": [\n{body}\n  ]\n}}\n'
 
 
 def _render_csv(reports: list[InvariantReport], monotone: str) -> str:

@@ -252,12 +252,11 @@ def partition_report(state: PureState, partition: Partition) -> InvariantReport:
 
     The partition is reshaped once and each Gram matrix formed once.  The
     rank flag comes from a Cholesky check of the Hermitian one when it
-    certifies full rank, else from the SVD rank of the unscaled reshape.
+    certifies full rank, else from the SVD rank of the scaled reshape.
     """
-    z = reshape(state, partition)
-    scaled, factor = _scaled(z)
-    gram = gram_hermitian(scaled)
-    bilinear_gram = gram_bilinear(scaled, partition.m)
+    z, factor = _scaled(reshape(state, partition))
+    gram = gram_hermitian(z)
+    bilinear_gram = gram_bilinear(z, partition.m)
     aux_name, aux_value = _aux_invariant(state, partition, bilinear_gram, factor)
     return InvariantReport(
         partition=partition,

@@ -120,7 +120,7 @@ def serialize_state(state: PureState) -> str:
     """Emit the JSON state document with 17 significant digits per component.
 
     The amplitudes are formatted a block at a time by one ``%`` call each;
-    ``%.17g`` gives the same digits as :func:`format_float`.
+    ``%.17g`` gives :func:`format_float`'s digits, but a negative zero is ``-0.0``.
     """
     flat = state.amplitudes.view(np.float64)
     parts = ["{\n", f'  "n_qubits": {state.num_qubits},\n', '  "amplitudes": [\n']
@@ -129,7 +129,10 @@ def serialize_state(state: PureState) -> str:
         if start:
             parts.append(",\n")
         pair_lines = ",\n".join(["    [%.17g, %.17g]"] * (block.size // 2))
-        parts.append(pair_lines % tuple(block.tolist()))
+        text = pair_lines % tuple(block.tolist())
+        if np.signbit(block[block == 0]).any():  # `-0` would read back as the integer 0
+            text = re.sub(r"-0(?=[,\]])", "-0.0", text)
+        parts.append(text)
     parts.append("\n  ]\n}\n")
     return "".join(parts)
 

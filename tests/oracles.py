@@ -56,6 +56,22 @@ def reshape_bitwise(state, selected) -> np.ndarray:
     return z
 
 
+def reshape_gathered(state, selected) -> np.ndarray:
+    """L x l coefficient matrix gathered through an index table that
+    :func:`assemble_index`'s bit rule builds for all entries at once."""
+    n = state.num_qubits
+    selected = list(selected)
+    unselected = [k for k in range(1, n + 1) if k not in selected]
+    rows = np.arange(2 ** len(unselected))[:, None]
+    cols = np.arange(2 ** len(selected))[None, :]
+    index = np.zeros((rows.size, cols.size), dtype=np.int64)
+    for j, pos in enumerate(selected):
+        index |= ((cols >> (len(selected) - 1 - j)) & 1) << (n - pos)
+    for j, pos in enumerate(unselected):
+        index |= ((rows >> (len(unselected) - 1 - j)) & 1) << (n - pos)
+    return state.amplitudes[index]
+
+
 def reduced_density(state, selected) -> np.ndarray:
     """Reduced density matrix of the selected qubits, O(4^N) summation."""
     n = state.num_qubits
@@ -91,6 +107,19 @@ def epsilon_entry_rule(m: int) -> np.ndarray:
     for i in range(dim):
         g[i, dim - 1 - i] = (-1.0) ** int(i).bit_count()
     return g
+
+
+def de_oracle_slogdet(state, selected) -> tuple[float, float]:
+    """(D, E) with both Gram determinants taken as ``slogdet``, so that neither
+    underflows to 0 at large l; the ε-form is materialized from its entry rule."""
+    z = reshape_gathered(state, selected)
+    rows, cols = z.shape
+    gz = epsilon_entry_rule(rows.bit_length() - 1) @ z
+    sign_d, log_d = np.linalg.slogdet(z.conj().T @ z)
+    sign_e, log_e = np.linalg.slogdet(z.T @ gz)
+    d = cols**2 * np.exp((2.0 / cols) * log_d) if sign_d.real > 0 else 0.0
+    e = cols**2 * np.exp((2.0 / cols) * log_e) if sign_e != 0 else 0.0
+    return float(d), float(e)
 
 
 def e_oracle_minor(state, selected) -> float:
@@ -136,13 +165,21 @@ def spin_flip_matrix(m: int) -> np.ndarray:
     return out
 
 
+def _json_component(x: float) -> str:
+    """17 significant digits; a negative zero as ``-0.0``, since JSON reads ``-0``
+    as the integer 0."""
+    text = f"{x:.17g}"
+    return "-0.0" if text == "-0" else text
+
+
 def serialize_state_lines(state) -> str:
     """The JSON state document, one f-string per amplitude line."""
     lines = ["{", f'  "n_qubits": {state.num_qubits},', '  "amplitudes": [']
     last = len(state.amplitudes) - 1
     for i, a in enumerate(state.amplitudes):
         sep = "" if i == last else ","
-        lines.append(f"    [{float(a.real):.17g}, {float(a.imag):.17g}]{sep}")
+        re_, im = _json_component(float(a.real)), _json_component(float(a.imag))
+        lines.append(f"    [{re_}, {im}]{sep}")
     lines += ["  ]", "}"]
     return "\n".join(lines) + "\n"
 

@@ -178,3 +178,9 @@ def test_gram_bilinear_full_contraction_for_two_columns():
 def test_gram_bilinear_rejects_row_mismatch():
     with pytest.raises(ValueError):
         gram_bilinear(np.zeros((4, 2)), 3)
+
+
+def test_gram_bilinear_rejects_a_vector():
+    # epsilon_apply accepts a vector of 2**m entries; only this guard refuses it.
+    with pytest.raises(ValueError, match="expected a matrix"):
+        gram_bilinear(np.zeros(8), 3)

@@ -286,11 +286,8 @@ def test_serialize_matches_per_amplitude_lines_across_blocks():
     text = serialize_state(state)
     assert text == serialize_state_lines(state)
     back = parse_state(text).amplitudes.view(np.float64)
-    # `-0` reads back as the JSON integer 0, so a zero loses its sign;
-    # every other component round-trips bit for bit.
-    nonzero = flat != 0
-    assert np.array_equal(back[nonzero].view(np.uint64), flat[nonzero].view(np.uint64))
-    assert np.all(back[~nonzero] == 0)
+    # Every component round-trips bit for bit, the negative zero included.
+    assert np.array_equal(back.view(np.uint64), flat.view(np.uint64))
 
 
 def test_serialize_parse_round_trip_is_exact():
