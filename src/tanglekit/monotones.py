@@ -202,8 +202,16 @@ def admissible_partitions(num_qubits: int) -> list[Partition]:
     return parts
 
 
+def _has_pfaffian(state: PureState, partition: Partition) -> bool:
+    """True for the 5-qubit n = 2 partitions, whose aux value is a Pfaffian."""
+    return state.num_qubits == 5 and partition.n == 2
+
+
 def _aux_invariant(
-    state: PureState, partition: Partition, bilinear_gram: np.ndarray, factor: float
+    state: PureState,
+    partition: Partition,
+    bilinear_gram: np.ndarray | None,
+    factor: float,
 ):
     n_total = state.num_qubits
     if n_total == 4 and partition.selected == (4,):
@@ -211,7 +219,7 @@ def _aux_invariant(
     if n_total == 4 and partition.selected in FOUR_QUBIT_LMN_SELECTIONS:
         idx = FOUR_QUBIT_LMN_SELECTIONS.index(partition.selected)
         return "LMN"[idx], four_qubit_lmn(state)[idx]
-    if n_total == 5 and partition.n == 2:
+    if _has_pfaffian(state, partition):
         return "pfaffian", _unscaled(factor, pfaffian(bilinear_gram))
     return None, None
 
@@ -250,14 +258,31 @@ def _surely_full_rank(gram: np.ndarray) -> bool:
 def partition_report(state: PureState, partition: Partition) -> InvariantReport:
     """Monotone values, named auxiliary invariant, and rank flag for one partition.
 
-    The partition is reshaped once and each Gram matrix formed once.  The
-    rank flag comes from a Cholesky check of the Hermitian one when it
-    certifies full rank, else from the SVD rank of the scaled reshape.
+    The partition is reshaped once and each Gram matrix formed at most once.
+    The rank flag is decided by the first of these that settles it:
+
+    1. an exactly zero column of the scaled reshape: every maximal minor then
+       vanishes, so D = E = 0 exactly (Cauchy-Binet) and the rank is below l;
+       no Gram matrix is formed except the bilinear one a Pfaffian needs;
+    2. a Cholesky check of the Hermitian Gram matrix that certifies full rank;
+    3. the SVD rank of the scaled reshape.
+
+    On a zero column the values equal the determinant path's bit for bit: both
+    Gram matrices get an exactly zero column, LU meets an exactly zero pivot
+    column, ``np.linalg.det`` returns exactly 0, and the result is ``+0.0``.
     """
     z, factor = _scaled(reshape(state, partition))
-    gram = gram_hermitian(z)
-    bilinear_gram = gram_bilinear(z, partition.m)
+    zero_column = not z.any(axis=0).all()
+    bilinear_gram = None
+    if not zero_column or _has_pfaffian(state, partition):
+        bilinear_gram = gram_bilinear(z, partition.m)
     aux_name, aux_value = _aux_invariant(state, partition, bilinear_gram, factor)
+    if zero_column:
+        return InvariantReport(
+            partition, d_value=0.0, e_value=0.0, aux_name=aux_name,
+            aux_value=aux_value, rank_deficient=True,
+        )
+    gram = gram_hermitian(z)
     return InvariantReport(
         partition=partition,
         d_value=_d_value(gram, factor, partition),

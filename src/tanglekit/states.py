@@ -112,15 +112,20 @@ def random_state(num_qubits: int, seed=None) -> PureState:
 
 
 def format_float(x: float) -> str:
-    """A float with 17 significant digits, enough to round-trip exactly."""
-    return f"{x:.17g}"
+    """A float with 17 significant digits, enough to round-trip exactly.
+
+    A negative zero is ``-0.0``: JSON reads ``-0`` back as the integer 0.
+    """
+    text = f"{x:.17g}"
+    return "-0.0" if text == "-0" else text
 
 
 def serialize_state(state: PureState) -> str:
     """Emit the JSON state document with 17 significant digits per component.
 
     The amplitudes are formatted a block at a time by one ``%`` call each;
-    ``%.17g`` gives :func:`format_float`'s digits, but a negative zero is ``-0.0``.
+    ``%.17g`` gives :func:`format_float`'s digits, and a negative zero becomes
+    ``-0.0`` as there.
     """
     flat = state.amplitudes.view(np.float64)
     parts = ["{\n", f'  "n_qubits": {state.num_qubits},\n', '  "amplitudes": [\n']
@@ -130,7 +135,7 @@ def serialize_state(state: PureState) -> str:
             parts.append(",\n")
         pair_lines = ",\n".join(["    [%.17g, %.17g]"] * (block.size // 2))
         text = pair_lines % tuple(block.tolist())
-        if np.signbit(block[block == 0]).any():  # `-0` would read back as the integer 0
+        if np.signbit(block[block == 0]).any():
             text = re.sub(r"-0(?=[,\]])", "-0.0", text)
         parts.append(text)
     parts.append("\n  ]\n}\n")

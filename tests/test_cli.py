@@ -127,6 +127,30 @@ def test_compute_csv_columns(tmp_path, capsys):
     assert by_partition["3,4"][6] == "L"  # aux_name column
 
 
+def test_compute_keeps_the_sign_of_a_negative_zero(tmp_path, capsys):
+    # M of these states is -0.0; `-0` would read back from JSON as the integer 0.
+    for name in ("ghz", "w", "product-zero"):
+        path = tmp_path / f"{name}4.json"
+        assert run_cli(capsys, "gen", name, "4", "-o", str(path))[0] == 0
+        argv = ("compute", "--state", str(path), "--partition", "2,4")
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0
+        [record] = json.loads(stdout)["records"]
+        assert record["aux_name"] == "M"
+        assert repr(record["aux_re"]) == "-0.0", name
+        code, stdout, _ = run_cli(capsys, *argv, "--format", "csv")
+        [row] = csv.DictReader(io.StringIO(stdout))
+        assert code == 0 and row["aux_re"] == "-0.0", name
+    # tests/data/all-partitions-ghz-4.json is the whole GHZ-4 report, byte-checked
+    # against the installed console script in CI; its values are exact.
+    golden = json.loads((DATA / "all-partitions-ghz-4.json").read_text())
+    code, stdout, _ = run_cli(
+        capsys, "compute", "--state", str(tmp_path / "ghz4.json"), "--all-partitions"
+    )
+    assert code == 0 and json.loads(stdout) == golden
+    assert repr(golden["records"][5]["aux_re"]) == "-0.0"
+
+
 def test_compute_monotone_selector(tmp_path, capsys):
     path = tmp_path / "bell.json"
     path.write_text(serialize_state(make_named_state("bell", 2)), encoding="utf-8")
