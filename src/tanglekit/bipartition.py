@@ -98,13 +98,18 @@ class Partition:
         return cls(num_qubits, tuple(int(tok) for tok in label.split(",")))
 
 
-def reshape(state: PureState, partition: Partition) -> np.ndarray:
-    """The L x l coefficient matrix of ``state`` for the given partition."""
+def check_partition(state: PureState, partition: Partition) -> None:
+    """ValueError unless ``partition`` splits a register of ``state``'s size."""
     if partition.num_qubits != state.num_qubits:
         raise ValueError(
             f"partition is for {partition.num_qubits} qubits, state has "
             f"{state.num_qubits}"
         )
+
+
+def reshape(state: PureState, partition: Partition) -> np.ndarray:
+    """The L x l coefficient matrix of ``state`` for the given partition."""
+    check_partition(state, partition)
     n_total = state.num_qubits
     tensor = state.amplitudes.reshape((2,) * n_total)
     axes = [k - 1 for k in partition.unselected] + [k - 1 for k in partition.selected]

@@ -8,11 +8,13 @@ For a partition with ``L = 2**(N-n) >= l = 2**n`` and reshape ``Z``:
   factor is invariant under determinant-one SLOCC operations.
 
 Both are homogeneous of degree 4 in the amplitudes, so unnormalized states are
-accepted.  Each partition is reshaped once; :func:`_scaled` divides that
-reshape by its Frobenius norm, to keep the determinants well conditioned, and
-returns the exact ``|c|**4`` scale.  Nothing else rescales.  Every value is
-formed on the unit-norm input, where it is at most about 1, and leaves through
-:func:`_unscaled`, times the scale (its square root for ``four_qubit_h``).
+accepted.  Every reshape of a state has the state's Frobenius norm, so the
+scale is a fact of the state: :func:`_scale` reads the state's norm, computed
+once per state, and returns it with the exact ``|c|**4`` factor.  Each value
+divides its reshape (or the amplitudes) by that norm, to keep the determinants
+well conditioned; nothing else rescales.  Every value is formed on the
+unit-norm input, where it is at most about 1, and leaves through
+:func:`_unscaled`, times the factor (its square root for ``four_qubit_h``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipartition import Partition, reshape
+from .bipartition import Partition, check_partition, reshape
 from .linalg import pfaffian
 from .plucker import gram_bilinear, gram_hermitian
 from .states import PureState
@@ -52,17 +54,17 @@ class InvariantReport:
     rank_deficient: bool = False
 
 
-def _scaled(z: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit-norm copy of a reshape or an amplitude vector, and its |c|**4 factor.
+def _scale(state: PureState) -> tuple[float, float]:
+    """The divisor that gives the state and its reshapes unit norm, and the
+    ``|c|**4`` factor; ``(1.0, 0.0)`` for the zero state.
 
-    A nonzero input with a norm outside [_NORM_MIN, _NORM_MAX] raises ValueError.
+    A nonzero state with a norm outside [_NORM_MIN, _NORM_MAX] raises ValueError.
     """
-    with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
-        scale = float(np.linalg.norm(z))
+    scale = state.norm
     if _NORM_MIN <= scale <= _NORM_MAX:
-        return z / scale, scale**4
-    if not z.any():
-        return z, 0.0
+        return scale, scale**4
+    if not state.support:
+        return 1.0, 0.0
     found = {0.0: "underflows", np.inf: "overflows"}.get(scale, f"is {scale:.3e}")
     raise ValueError(f"state norm {found}, outside [{_NORM_MIN:.3e}, {_NORM_MAX:.3e}]")
 
@@ -94,13 +96,15 @@ def _e_value(gram: np.ndarray, factor: float, partition: Partition) -> float:
 
 def d_monotone(state: PureState, partition: Partition) -> float:
     """LU monotone ``l**2 * det(Z^dag Z)**(2/l)``; in [0, 1] at unit norm."""
-    z, factor = _scaled(reshape(state, partition))
+    scale, factor = _scale(state)
+    z = reshape(state, partition) / scale
     return _d_value(gram_hermitian(z), factor, partition)
 
 
 def e_monotone(state: PureState, partition: Partition) -> float:
     """SLOCC monotone ``l**2 * |det(Z^T g Z)|**(2/l)``; at most D at unit norm."""
-    z, factor = _scaled(reshape(state, partition))
+    scale, factor = _scale(state)
+    z = reshape(state, partition) / scale
     return _e_value(gram_bilinear(z, partition.m), factor, partition)
 
 
@@ -129,7 +133,8 @@ def four_qubit_h(state: PureState) -> complex:
     Satisfies ``e_monotone({4}) = 4 |H|**2``.
     """
     _require_qubits(state, 4, "four_qubit_h")
-    c, factor = _scaled(state.amplitudes)
+    scale, factor = _scale(state)
+    c = state.amplitudes / scale
     return _unscaled(factor**0.5, complex(
         c[0] * c[15] - c[2] * c[13] - c[4] * c[11] + c[6] * c[9]
         - c[8] * c[7] + c[10] * c[5] + c[12] * c[3] - c[14] * c[1]
@@ -145,9 +150,10 @@ def four_qubit_lmn(state: PureState) -> tuple[complex, complex, complex]:
     those partitions equals 16|L|, 16|M|, 16|N|.
     """
     _require_qubits(state, 4, "four_qubit_lmn")
+    scale, factor = _scale(state)
     values = []
     for sign, selected in zip(FOUR_QUBIT_LMN_SIGNS, FOUR_QUBIT_LMN_SELECTIONS):
-        z, factor = _scaled(reshape(state, Partition(4, selected)))
+        z = reshape(state, Partition(4, selected)) / scale
         values.append(_unscaled(factor, sign * complex(np.linalg.det(z))))
     return tuple(values)
 
@@ -174,7 +180,8 @@ def five_qubit_pfaffian_monotone(state: PureState, partition: Partition) -> floa
     _require_qubits(state, 5, "five_qubit_pfaffian_monotone")
     if partition.n != 2:
         raise ValueError(f"the Pfaffian form needs n = 2, got n = {partition.n}")
-    z, factor = _scaled(reshape(state, partition))
+    scale, factor = _scale(state)
+    z = reshape(state, partition) / scale
     return _unscaled(factor, 16.0 * abs(pfaffian(gram_bilinear(z, partition.m))))
 
 
@@ -228,9 +235,13 @@ def _surely_full_rank(gram: np.ndarray) -> bool:
     """True only if ``np.linalg.matrix_rank`` of the reshape is l.
 
     ``gram`` is the Hermitian Gram matrix G of the unit-Frobenius reshape Z, so
-    tr G = 1 and sigma_max(Z) <= 1.  False means "not settled": the caller asks
-    the SVD.  Why a Cholesky factorization of ``G - s I`` that completes
-    settles it, with u = 2**-53 and s = _FULL_RANK_SHIFT:
+    tr G = 1 and sigma_max(Z) <= 1.  Both hold up to the round-off of the
+    state's norm, which Z was divided by: a relative error below 2**27 u <
+    1.5e-8 (dot products of at most 2**26 real terms), which moves each bound
+    below by a factor of at most 1 + 3e-8, far inside their margins.  False
+    means "not settled": the caller asks the SVD.  Why a Cholesky
+    factorization of ``G - s I`` that completes settles it, with u = 2**-53
+    and s = _FULL_RANK_SHIFT:
 
     * ``matrix_rank`` counts the singular values above max(L, l) eps sigma_max.
       That cut is relative, so scaling Z changes nothing, and as a PureState
@@ -258,21 +269,28 @@ def _surely_full_rank(gram: np.ndarray) -> bool:
 def partition_report(state: PureState, partition: Partition) -> InvariantReport:
     """Monotone values, named auxiliary invariant, and rank flag for one partition.
 
-    The partition is reshaped once and each Gram matrix formed at most once.
-    The rank flag is decided by the first of these that settles it:
+    The partition is reshaped at most once and each Gram matrix formed at most
+    once.  The rank flag is decided by the first of these that settles it:
 
-    1. an exactly zero column of the scaled reshape: every maximal minor then
+    1. fewer nonzero amplitudes than l (``state.support < l``): the reshape
+       then has an exactly zero column, so the report is settled as in 2
+       without forming the reshape at all; the 5-qubit n = 2 partitions go on
+       to 2, as their Pfaffian aux value needs the bilinear Gram matrix;
+    2. an exactly zero column of the scaled reshape: every maximal minor then
        vanishes, so D = E = 0 exactly (Cauchy-Binet) and the rank is below l;
        no Gram matrix is formed except the bilinear one a Pfaffian needs;
-    2. a Cholesky check of the Hermitian Gram matrix that certifies full rank;
-    3. the SVD rank of the scaled reshape.
+    3. a Cholesky check of the Hermitian Gram matrix that certifies full rank;
+    4. the SVD rank of the scaled reshape.
 
     On a zero column the values equal the determinant path's bit for bit: both
     Gram matrices get an exactly zero column, LU meets an exactly zero pivot
     column, ``np.linalg.det`` returns exactly 0, and the result is ``+0.0``.
     """
-    z, factor = _scaled(reshape(state, partition))
-    zero_column = not z.any(axis=0).all()
+    check_partition(state, partition)
+    scale, factor = _scale(state)
+    sparse = state.support < partition.l and not _has_pfaffian(state, partition)
+    z = None if sparse else reshape(state, partition) / scale
+    zero_column = sparse or not z.any(axis=0).all()
     bilinear_gram = None
     if not zero_column or _has_pfaffian(state, partition):
         bilinear_gram = gram_bilinear(z, partition.m)

@@ -68,10 +68,20 @@ def gram_hermitian(z) -> np.ndarray:
 def gram_bilinear(z, m: int) -> np.ndarray:
     """ε-bilinear Gram matrix ``(a, b) -> Z_a . Z_b`` with 2**m rows.
 
-    Antisymmetric when m is odd, symmetric when m is even; the form is never
-    materialized: :func:`~tanglekit.bipartition.epsilon_apply` applies it and checks rows.
+    Antisymmetric when m is odd, symmetric when m is even, exactly: the form
+    pairs row i with row 2**m - 1 - i, whose parity sign is (-1)**m times that
+    of row i, so the rows below the middle give the transpose of the sum over
+    the rows above it.  With ``X = Z_top^T (g Z)_top`` over the top half of the
+    rows, the result is ``X + (-1)**m X^T``, one product over half the rows.
+    The form is never materialized:
+    :func:`~tanglekit.bipartition.epsilon_apply` applies it and checks rows.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {z.shape}")
-    return z.T @ epsilon_apply(m, z)
+    g_z = epsilon_apply(m, z)
+    if m == 0:  # one row, paired with itself
+        return z.T @ g_z
+    half = len(z) // 2
+    x = z[:half].T @ g_z[:half]
+    return x + x.T if m % 2 == 0 else x - x.T

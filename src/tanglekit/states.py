@@ -12,6 +12,7 @@ import json
 import operator
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,9 +74,17 @@ class PureState:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
+    # The amplitudes are read-only, so each of these is computed once per state.
+    @cached_property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """Euclidean norm of the amplitudes; inf if it overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.amplitudes))
+
+    @cached_property
+    def support(self) -> int:
+        """Number of nonzero amplitudes."""
+        return int(np.count_nonzero(self.amplitudes))
 
 
 def make_named_state(name: str, num_qubits: int, seed=None) -> PureState:

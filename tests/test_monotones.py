@@ -128,6 +128,10 @@ def test_monotones_reject_mismatched_partition():
         d_monotone(GHZ3, Partition(4, (4,)))
     with pytest.raises(ValueError):
         e_monotone(GHZ4, P3)
+    # GHZ-3 has fewer nonzero amplitudes than this partition's l = 4, so the
+    # report settles it without a reshape; the mismatch must still raise.
+    with pytest.raises(ValueError, match="^partition is for 4 qubits, state has 3$"):
+        partition_report(GHZ3, Partition(4, (3, 4)))
 
 
 def test_concurrence_squared_values():
@@ -357,10 +361,22 @@ def _same_bits(a, b) -> bool:
     )
 
 
+def _sparse_state(n, seed):
+    """A random state on k < 2**(n//2) amplitudes at random positions, so the
+    reshapes with l > k have a zero column and the report skips them."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 2 ** (n // 2)))
+    amps = np.zeros(2**n, dtype=complex)
+    where = rng.choice(2**n, size=k, replace=False)
+    amps[where] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return PureState(n, amps)
+
+
 def test_report_values_match_monotone_calls():
     # The report and the single-value entry points share one kernel per value;
-    # on GHZ, W and product states most reshapes have an exactly zero column,
-    # which the report settles without a determinant: to the same bits.
+    # on GHZ, W, product and sparse states most reshapes have an exactly zero
+    # column, which the report settles without a determinant (without a reshape
+    # when the state has fewer nonzero amplitudes than l): to the same bits.
     zero5 = PureState(5, np.zeros(32))
     states = [random_state(n, seed=200 + n) for n in range(2, 7)]
     states += [zero5] + [
@@ -368,6 +384,7 @@ def test_report_values_match_monotone_calls():
         for name in ("ghz", "w", "product-zero")
         for n in range(2, 9)
     ]
+    states += [_sparse_state(n, seed=210 + 10 * n + i) for n in range(4, 9) for i in range(3)]
     for state in states:
         for report in all_partitions_report(state):
             part = report.partition

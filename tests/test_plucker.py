@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from tanglekit.bipartition import Partition, reshape
+from tanglekit.bipartition import Partition, epsilon_matrix, reshape
 from tanglekit.plucker import (
     PluckerVector,
     gram_bilinear,
@@ -129,7 +129,7 @@ def test_gram_bilinear_diagonal_vanishes_for_odd_m():
     state = random_state(4, seed=57)
     z = reshape(state, Partition(4, (4,)))
     g = gram_bilinear(z, 3)
-    assert abs(g[0, 0]) < 1e-15 and abs(g[1, 1]) < 1e-15
+    assert g[0, 0] == 0 and g[1, 1] == 0
 
 
 def test_gram_bilinear_ghz3_determinant():
@@ -143,11 +143,22 @@ def test_gram_bilinear_ghz3_determinant():
 
 
 def test_gram_bilinear_symmetry_follows_m():
+    # Exact: the half-rows product X enters as X + (-1)**m X^T.
     rng = np.random.default_rng(58)
-    for m, cols in [(2, 2), (3, 2), (3, 4), (4, 2)]:
-        z = _cmat(rng, (2**m, cols))
-        g = gram_bilinear(z, m)
-        assert np.abs(g - (-1.0) ** m * g.T).max() < 1e-12
+    for m in range(1, 8):
+        for cols in (2, 4, 8):
+            z = _cmat(rng, (2**m, cols))
+            g = gram_bilinear(z, m)
+            assert np.array_equal(g, (-1) ** m * g.T)
+
+
+def test_gram_bilinear_matches_the_materialized_form():
+    rng = np.random.default_rng(61)
+    for m in range(0, 8):
+        for cols in (1, 2, 4):
+            z = _cmat(rng, (2**m, cols)) / np.sqrt(2.0**m)
+            expected = z.T @ epsilon_matrix(m) @ z
+            assert np.abs(gram_bilinear(z, m) - expected).max() <= 1e-12
 
 
 def test_gram_bilinear_cauchy_binet_raised_minors():

@@ -107,6 +107,13 @@ def test_make_named_state_shares_the_register_check():
         make_named_state("ghz", 2.0)
 
 
+def test_support_counts_nonzero_amplitudes():
+    assert make_named_state("ghz", 5).support == 2
+    assert make_named_state("w", 5).support == 5
+    assert make_named_state("product-zero", 5).support == 1
+    assert PureState(5, np.zeros(32)).support == 0
+
+
 def test_pure_state_amplitudes_read_only():
     state = make_named_state("ghz", 2)
     with pytest.raises(ValueError):
