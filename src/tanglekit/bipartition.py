@@ -107,13 +107,17 @@ def check_partition(state: PureState, partition: Partition) -> None:
         )
 
 
+def _reshape_axes(partition: Partition) -> list[int]:
+    """The tensor axes in reshape order: unselected qubits first, then selected."""
+    return [k - 1 for k in partition.unselected] + [k - 1 for k in partition.selected]
+
+
 def reshape(state: PureState, partition: Partition) -> np.ndarray:
     """The L x l coefficient matrix of ``state`` for the given partition."""
     check_partition(state, partition)
     n_total = state.num_qubits
     tensor = state.amplitudes.reshape((2,) * n_total)
-    axes = [k - 1 for k in partition.unselected] + [k - 1 for k in partition.selected]
-    return tensor.transpose(axes).reshape(partition.L, partition.l)
+    return tensor.transpose(_reshape_axes(partition)).reshape(partition.L, partition.l)
 
 
 def unreshape(z: np.ndarray, partition: Partition) -> PureState:
@@ -123,8 +127,7 @@ def unreshape(z: np.ndarray, partition: Partition) -> PureState:
         raise ValueError(
             f"expected shape {(partition.L, partition.l)}, got {z.shape}"
         )
-    axes = [k - 1 for k in partition.unselected] + [k - 1 for k in partition.selected]
-    inverse = np.argsort(axes)
+    inverse = np.argsort(_reshape_axes(partition))
     tensor = np.asarray(z, dtype=complex).reshape((2,) * n_total).transpose(inverse)
     return PureState(n_total, tensor.reshape(-1))
 

@@ -69,6 +69,12 @@ def _scale(state: PureState) -> tuple[float, float]:
     raise ValueError(f"state norm {found}, outside [{_NORM_MIN:.3e}, {_NORM_MAX:.3e}]")
 
 
+def _scaled_reshape(state: PureState, partition: Partition) -> tuple[np.ndarray, float]:
+    """The reshape of the state at unit norm, and the ``|c|**4`` factor."""
+    scale, factor = _scale(state)
+    return reshape(state, partition) / scale, factor
+
+
 def _unscaled(factor: float, unit_value):
     """``factor * unit_value``; ValueError if a nonzero value ends subnormal or 0."""
     value = factor * unit_value
@@ -96,15 +102,13 @@ def _e_value(gram: np.ndarray, factor: float, partition: Partition) -> float:
 
 def d_monotone(state: PureState, partition: Partition) -> float:
     """LU monotone ``l**2 * det(Z^dag Z)**(2/l)``; in [0, 1] at unit norm."""
-    scale, factor = _scale(state)
-    z = reshape(state, partition) / scale
+    z, factor = _scaled_reshape(state, partition)
     return _d_value(gram_hermitian(z), factor, partition)
 
 
 def e_monotone(state: PureState, partition: Partition) -> float:
     """SLOCC monotone ``l**2 * |det(Z^T g Z)|**(2/l)``; at most D at unit norm."""
-    scale, factor = _scale(state)
-    z = reshape(state, partition) / scale
+    z, factor = _scaled_reshape(state, partition)
     return _e_value(gram_bilinear(z, partition.m), factor, partition)
 
 
@@ -150,10 +154,9 @@ def four_qubit_lmn(state: PureState) -> tuple[complex, complex, complex]:
     those partitions equals 16|L|, 16|M|, 16|N|.
     """
     _require_qubits(state, 4, "four_qubit_lmn")
-    scale, factor = _scale(state)
     values = []
     for sign, selected in zip(FOUR_QUBIT_LMN_SIGNS, FOUR_QUBIT_LMN_SELECTIONS):
-        z = reshape(state, Partition(4, selected)) / scale
+        z, factor = _scaled_reshape(state, Partition(4, selected))
         values.append(_unscaled(factor, sign * complex(np.linalg.det(z))))
     return tuple(values)
 
@@ -180,8 +183,7 @@ def five_qubit_pfaffian_monotone(state: PureState, partition: Partition) -> floa
     _require_qubits(state, 5, "five_qubit_pfaffian_monotone")
     if partition.n != 2:
         raise ValueError(f"the Pfaffian form needs n = 2, got n = {partition.n}")
-    scale, factor = _scale(state)
-    z = reshape(state, partition) / scale
+    z, factor = _scaled_reshape(state, partition)
     return _unscaled(factor, 16.0 * abs(pfaffian(gram_bilinear(z, partition.m))))
 
 
@@ -209,11 +211,6 @@ def admissible_partitions(num_qubits: int) -> list[Partition]:
     return parts
 
 
-def _has_pfaffian(state: PureState, partition: Partition) -> bool:
-    """True for the 5-qubit n = 2 partitions, whose aux value is a Pfaffian."""
-    return state.num_qubits == 5 and partition.n == 2
-
-
 def _aux_invariant(
     state: PureState,
     partition: Partition,
@@ -226,8 +223,9 @@ def _aux_invariant(
     if n_total == 4 and partition.selected in FOUR_QUBIT_LMN_SELECTIONS:
         idx = FOUR_QUBIT_LMN_SELECTIONS.index(partition.selected)
         return "LMN"[idx], four_qubit_lmn(state)[idx]
-    if _has_pfaffian(state, partition):
-        return "pfaffian", _unscaled(factor, pfaffian(bilinear_gram))
+    if n_total == 5 and partition.n == 2:  # None on a zero column: see partition_report
+        unit = 0j if bilinear_gram is None else pfaffian(bilinear_gram)
+        return "pfaffian", _unscaled(factor, unit)
     return None, None
 
 
@@ -272,28 +270,25 @@ def partition_report(state: PureState, partition: Partition) -> InvariantReport:
     The partition is reshaped at most once and each Gram matrix formed at most
     once.  The rank flag is decided by the first of these that settles it:
 
-    1. fewer nonzero amplitudes than l (``state.support < l``): the reshape
-       then has an exactly zero column, so the report is settled as in 2
-       without forming the reshape at all; the 5-qubit n = 2 partitions go on
-       to 2, as their Pfaffian aux value needs the bilinear Gram matrix;
-    2. an exactly zero column of the scaled reshape: every maximal minor then
-       vanishes, so D = E = 0 exactly (Cauchy-Binet) and the rank is below l;
-       no Gram matrix is formed except the bilinear one a Pfaffian needs;
-    3. a Cholesky check of the Hermitian Gram matrix that certifies full rank;
-    4. the SVD rank of the scaled reshape.
+    1. an exactly zero column of the reshape, which fewer nonzero amplitudes
+       than l (``state.support < l``) leave without the reshape being formed:
+       every maximal minor then vanishes, so D = E = 0 exactly (Cauchy-Binet),
+       the rank is below l, and no Gram matrix is formed;
+    2. a Cholesky check of the Hermitian Gram matrix that certifies full rank;
+    3. the SVD rank of the scaled reshape.
 
     On a zero column the values equal the determinant path's bit for bit: both
     Gram matrices get an exactly zero column, LU meets an exactly zero pivot
     column, ``np.linalg.det`` returns exactly 0, and the result is ``+0.0``.
+    The 5-qubit n = 2 Pfaffian is ``+0+0j`` there too: every term of the
+    first-row expansion of Pf(Z^T g Z) holds an entry of its zero row or
+    column, the sum starts from ``+0.0+0.0j``, and +0 plus a signed zero is +0.
     """
     check_partition(state, partition)
     scale, factor = _scale(state)
-    sparse = state.support < partition.l and not _has_pfaffian(state, partition)
-    z = None if sparse else reshape(state, partition) / scale
-    zero_column = sparse or not z.any(axis=0).all()
-    bilinear_gram = None
-    if not zero_column or _has_pfaffian(state, partition):
-        bilinear_gram = gram_bilinear(z, partition.m)
+    z = reshape(state, partition) / scale if state.support >= partition.l else None
+    zero_column = z is None or not z.any(axis=0).all()
+    bilinear_gram = None if zero_column else gram_bilinear(z, partition.m)
     aux_name, aux_value = _aux_invariant(state, partition, bilinear_gram, factor)
     if zero_column:
         return InvariantReport(

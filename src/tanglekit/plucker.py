@@ -73,15 +73,16 @@ def gram_bilinear(z, m: int) -> np.ndarray:
     of row i, so the rows below the middle give the transpose of the sum over
     the rows above it.  With ``X = Z_top^T (g Z)_top`` over the top half of the
     rows, the result is ``X + (-1)**m X^T``, one product over half the rows.
-    The form is never materialized:
-    :func:`~tanglekit.bipartition.epsilon_apply` applies it and checks rows.
+    The form is never materialized: a top-half row has top bit 0, so ``(g Z)_top``
+    is :func:`~tanglekit.bipartition.epsilon_apply` of m - 1 qubits on the bottom half.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {z.shape}")
-    g_z = epsilon_apply(m, z)
+    if len(z) != 2**m:
+        raise ValueError(f"expected {2**m} rows, got shape {z.shape}")
     if m == 0:  # one row, paired with itself
-        return z.T @ g_z
+        return z.T @ epsilon_apply(m, z)
     half = len(z) // 2
-    x = z[:half].T @ g_z[:half]
+    x = z[:half].T @ epsilon_apply(m - 1, z[half:])
     return x + x.T if m % 2 == 0 else x - x.T

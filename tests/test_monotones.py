@@ -385,6 +385,7 @@ def test_report_values_match_monotone_calls():
         for n in range(2, 9)
     ]
     states += [_sparse_state(n, seed=210 + 10 * n + i) for n in range(4, 9) for i in range(3)]
+    zero_column_pfaffians = 0
     for state in states:
         for report in all_partitions_report(state):
             part = report.partition
@@ -393,11 +394,19 @@ def test_report_values_match_monotone_calls():
             if report.aux_name == "pfaffian":
                 expected = five_qubit_pfaffian_monotone(state, part)
                 assert abs(16.0 * abs(report.aux_value) - expected) <= 1e-12 * expected
+                # With a zero column every term of the Pfaffian's expansion is
+                # a signed zero, and their sum from +0 is +0, as the report says.
+                if not reshape(state, part).any(axis=0).all():
+                    assert _same_bits(report.aux_value, 0j)
+                    zero_column_pfaffians += 1
             elif report.aux_name == "H":
                 assert _same_bits(report.aux_value, four_qubit_h(state))
             elif report.aux_name is not None:
                 expected = four_qubit_lmn(state)["LMN".index(report.aux_name)]
                 assert _same_bits(report.aux_value, expected)
+    # GHZ-5 (support 2 < l), zero-5 (support 0) and W-5 (support 5, but no
+    # amplitude with both selected qubits 1): ten n = 2 partitions each.
+    assert zero_column_pfaffians >= 30
     for report in all_partitions_report(zero5):
         assert report.d_value == report.e_value == 0.0
         assert report.rank_deficient
@@ -505,8 +514,11 @@ def test_norms_whose_fourth_power_is_not_a_normal_float_raise():
         for call in (d_monotone, e_monotone, partition_report):
             with pytest.raises(ValueError, match=range_message):
                 call(bell_like(2, c), p2)
-        with pytest.raises(ValueError, match=range_message):
-            five_qubit_pfaffian_monotone(bell_like(5, c), p5)
+        # A 5-qubit n = 2 report of a sparse state leaves on the support exit,
+        # which comes after the norm check.
+        for call in (five_qubit_pfaffian_monotone, partition_report):
+            with pytest.raises(ValueError, match=range_message):
+                call(bell_like(5, c), p5)
         for named, n in ((concurrence_squared, 2), (four_qubit_h, 4), (four_qubit_lmn, 4)):
             with pytest.raises(ValueError, match=range_message):
                 named(bell_like(n, c))

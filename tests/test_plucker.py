@@ -187,8 +187,10 @@ def test_gram_bilinear_full_contraction_for_two_columns():
 
 
 def test_gram_bilinear_rejects_row_mismatch():
-    with pytest.raises(ValueError):
-        gram_bilinear(np.zeros((4, 2)), 3)
+    # 3 rows with m = 2: the bottom half alone has the 2 rows of m - 1 = 1.
+    for z, m in ((np.zeros((4, 2)), 3), (np.zeros((3, 2)), 2)):
+        with pytest.raises(ValueError, match=r"^expected \d+ rows, got shape"):
+            gram_bilinear(z, m)
 
 
 def test_gram_bilinear_rejects_a_vector():
