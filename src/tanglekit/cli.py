@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import sys
+from contextlib import nullcontext
 
 from .bipartition import Partition
 from .monotones import InvariantReport, all_partitions_report, partition_report
@@ -25,7 +26,7 @@ from .verify import SUITE_NAMES, run_suite
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-# Characters per file write: a whole document is never encoded in one copy.
+# Characters per write: a whole document is never encoded in one copy.
 _WRITE_SLICE = 2**20
 
 _CSV_COLUMNS = (
@@ -88,11 +89,9 @@ def _render_csv(reports: list[InvariantReport], monotone: str) -> str:
 
 
 def _write_output(text: str, path: str | None) -> int:
-    if path is None:
-        sys.stdout.write(text)
-        return EXIT_OK
+    stdout = nullcontext(sys.stdout)
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with stdout if path is None else open(path, "w", encoding="utf-8") as fh:
             for start in range(0, len(text), _WRITE_SLICE):
                 fh.write(text[start : start + _WRITE_SLICE])
     except OSError as exc:

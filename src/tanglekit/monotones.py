@@ -255,7 +255,6 @@ def _surely_full_rank(gram: np.ndarray) -> bool:
     * R^H R is positive definite, so lambda_min(Z^H Z) > s - sqrt(2) (L + l + 3) u
       > 1e-8 - 6e-9, i.e. sigma_min(Z) > 6e-5: four orders of magnitude above
       the cut and the SVD's own error, which is a small multiple of it.
-    * A zero reshape has G = 0, so the factorization fails and the SVD decides.
     """
     try:
         np.linalg.cholesky(gram - _FULL_RANK_SHIFT * np.eye(len(gram)))
@@ -283,6 +282,9 @@ def partition_report(state: PureState, partition: Partition) -> InvariantReport:
     The 5-qubit n = 2 Pfaffian is ``+0+0j`` there too: every term of the
     first-row expansion of Pf(Z^T g Z) holds an entry of its zero row or
     column, the sum starts from ``+0.0+0.0j``, and +0 plus a signed zero is +0.
+
+    E is reported as ``min(E, D)``: |det(Z^T g Z)| <= det(Z^H Z) by Cauchy-Binet
+    and Cauchy-Schwarz (g is real orthogonal), so only round-off lifts E above D.
     """
     check_partition(state, partition)
     scale, factor = _scale(state)
@@ -296,10 +298,11 @@ def partition_report(state: PureState, partition: Partition) -> InvariantReport:
             aux_value=aux_value, rank_deficient=True,
         )
     gram = gram_hermitian(z)
+    d_value = _d_value(gram, factor, partition)
     return InvariantReport(
         partition=partition,
-        d_value=_d_value(gram, factor, partition),
-        e_value=_e_value(bilinear_gram, factor, partition),
+        d_value=d_value,
+        e_value=min(_e_value(bilinear_gram, factor, partition), d_value),
         aux_name=aux_name,
         aux_value=aux_value,
         rank_deficient=not _surely_full_rank(gram)

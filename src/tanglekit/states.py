@@ -24,9 +24,12 @@ _BLOCK = 2**16
 # Characters of amplitude lines _parse_written_layout hands to one json.loads
 # call: its lists and floats stay small next to the text and the amplitudes.
 _CHUNK = 2**16
-# The fixed text around the amplitude lines of a serialize_state document.
-_WRITTEN_HEADER = re.compile(r'\{\n  "n_qubits": ([1-9][0-9]?),\n  "amplitudes": \[\n')
-_WRITTEN_FOOTER = "\n  ]\n}\n"
+# The layout serialize_state writes and _parse_written_layout matches: the
+# header (``%d`` is n_qubits), the text between two amplitude pairs, the footer.
+_HEADER = '{\n  "n_qubits": %d,\n  "amplitudes": [\n'
+_PAIR_SEPARATOR = ",\n"
+_FOOTER = "\n  ]\n}\n"
+_WRITTEN_HEADER = re.compile(re.escape(_HEADER).replace("%d", "([1-9][0-9]?)"))
 
 NAMED_STATES = ("ghz", "w", "bell", "product-zero", "haar-random")
 
@@ -137,17 +140,17 @@ def serialize_state(state: PureState) -> str:
     ``-0.0`` as there.
     """
     flat = state.amplitudes.view(np.float64)
-    parts = ["{\n", f'  "n_qubits": {state.num_qubits},\n', '  "amplitudes": [\n']
+    parts = [_HEADER % state.num_qubits]
     for start in range(0, flat.size, _BLOCK):
         block = flat[start : start + _BLOCK]
         if start:
-            parts.append(",\n")
-        pair_lines = ",\n".join(["    [%.17g, %.17g]"] * (block.size // 2))
+            parts.append(_PAIR_SEPARATOR)
+        pair_lines = _PAIR_SEPARATOR.join(["    [%.17g, %.17g]"] * (block.size // 2))
         text = pair_lines % tuple(block.tolist())
         if np.signbit(block[block == 0]).any():
             text = re.sub(r"-0(?=[,\]])", "-0.0", text)
         parts.append(text)
-    parts.append("\n  ]\n}\n")
+    parts.append(_FOOTER)
     return "".join(parts)
 
 
@@ -230,16 +233,14 @@ def _parse_written_layout(text: str) -> tuple[int, np.ndarray] | None:
     """Parse a document in the exact layout of :func:`serialize_state` without
     building its whole JSON tree, or return None on any deviation.
 
-    The amplitude lines are cut into chunks of about ``_CHUNK`` characters that
-    end at line breaks; each chunk but the last must end with the comma that
-    separates it from the next, which is dropped. A successful parse returns
-    exactly what ``json.loads`` of the whole document would give:
-
-    - the header is fixed, so the keys and ``n_qubits`` cannot differ;
-    - chunks end at line breaks, which JSON allows only between tokens (a
-      string cannot hold a raw line break), so no token is split;
-    - each chunk is a non-empty comma-separated value list, and joining such
-      lists with commas gives the same array, in the same order.
+    The text between the header and the footer is cut, at the first pair
+    separator ``",\\n"`` past each ``_CHUNK`` characters, into chunks that drop
+    the separator's comma. Outside a JSON string that comma always separates
+    two values (a string cannot hold a raw line break), so when every chunk
+    parses as a non-empty value list, joining the lists gives the same array,
+    in the same order: a successful parse returns exactly what ``json.loads``
+    of the whole document would give, and the fixed header leaves the keys and
+    ``n_qubits`` no room to differ.
 
     Every pair passes the same :func:`_pair_components` test as the whole
     path. A text too short for ``2**n`` pairs of at least ``[0,0]`` (checked
@@ -247,32 +248,27 @@ def _parse_written_layout(text: str) -> tuple[int, np.ndarray] | None:
     returns None, and the whole-document path then raises the error.
     """
     header = _WRITTEN_HEADER.match(text) if isinstance(text, str) else None
-    if header is None or not text.endswith(_WRITTEN_FOOTER):
+    if header is None or not text.endswith(_FOOTER):
         return None
     n = int(header.group(1))
     if n > MAX_QUBITS or len(text) < 5 * 2**n:
         return None
     flat = np.empty(2 * 2**n)
     filled = 0
-    start, end = header.end(), len(text) - len(_WRITTEN_FOOTER)
+    start, end = header.end(), len(text) - len(_FOOTER)
     while start < end:
-        stop = text.find("\n", min(start + _CHUNK, end), end)
+        stop = text.find(_PAIR_SEPARATOR, min(start + _CHUNK, end), end)
         if stop == -1:
             stop = end
-            chunk = text[start:end]
-        elif text[stop - 1] == ",":
-            chunk = text[start : stop - 1]
-        else:
-            return None
         try:
-            values = _pair_components(json.loads("[" + chunk + "]"))
+            values = _pair_components(json.loads("[" + text[start:stop] + "]"))
         except (ValueError, RecursionError):
             return None
         if not values.size or filled + values.size > flat.size:
             return None
         flat[filled : filled + values.size] = values
         filled += values.size
-        start = stop
+        start = stop + 1
     if filled != flat.size:
         return None
     return n, flat

@@ -49,6 +49,9 @@ def test_gen_seeded_is_byte_identical(tmp_path, capsys):
     expected = serialize_state(make_named_state("haar-random", 16, seed=16))
     assert len(expected) > 2 * cli._WRITE_SLICE
     assert big.read_bytes() == expected.encode("utf-8")
+    # stdout goes through the same slices.
+    code, stdout, _ = run_cli(capsys, "gen", "haar-random", "16", "--seed", "16")
+    assert code == 0 and stdout.encode("utf-8") == big.read_bytes()
 
 
 def test_gen_matches_committed_state_file(tmp_path, capsys):
@@ -237,6 +240,23 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
             assert code == 2 and stdout == "", (argv[0], target)
             assert stderr.startswith("error: cannot write output file: "), (argv[0], target)
     assert not (tmp_path / "missing").exists()
+
+
+class _BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_failing_stdout_write_exits_2(tmp_path, capsys, monkeypatch):
+    state = tmp_path / "ghz3.json"
+    state.write_text(serialize_state(make_named_state("ghz", 3)), encoding="utf-8")
+    for argv in (("gen", "ghz", "3"), ("compute", "--state", str(state), "--partition", "1")):
+        with monkeypatch.context() as patch:
+            patch.setattr("sys.stdout", _BrokenPipe())
+            code = cli.main(list(argv))
+        stderr = capsys.readouterr().err
+        assert code == 2, argv
+        assert stderr == "error: cannot write output file: [Errno 32] Broken pipe\n", argv
 
 
 def test_verify_suite_passes(capsys):

@@ -258,8 +258,9 @@ def _written_document_lines(num_qubits):
     body = cut = text.index("[\n") + 2
     end = text.rindex("\n  ]")
     firsts = []
-    while (cut := text.find("\n", cut + _CHUNK, end)) != -1:
+    while (cut := text.find(",\n", cut + _CHUNK, end)) != -1:
         firsts.append(text.count("\n", body, cut) + 1)
+        cut += 1
     return text.split("\n"), firsts
 
 
@@ -340,6 +341,9 @@ def _mutate(lines, row, kind, data):
         lines[row] = line + ","
     elif kind == "drop comma":
         lines[row] = line.removesuffix(",")
+    elif kind == "comma first" and line.endswith(","):
+        lines[row] = line.removesuffix(",")
+        lines[row + 1] = "," + lines[row + 1]
     elif kind == "header":
         lines[1] = data.draw(st.sampled_from(
             ['  "n_qubits": 012,', '  "n_qubits": 27,', '  "n_qubits": 0,', '   "n_qubits": 9,',
@@ -368,7 +372,7 @@ def test_parse_state_matches_the_whole_document_oracle(data):
     near = sorted({0, last, *(f + d for f in firsts for d in (-2, -1, 0, 1))})
     lines = list(lines)
     kinds = ["pair", "delete", "duplicate", "split", "double comma", "drop comma",
-             "header", "footer"]
+             "comma first", "header", "footer"]
     for _ in range(data.draw(st.integers(0, 3))):
         index = data.draw(st.sampled_from(near) | st.integers(0, last))
         row = min(_HEAD + index, len(lines) - 4)
