@@ -45,7 +45,6 @@ from .monotones import (
     three_tangle,
 )
 from .plucker import (
-    PluckerVector,
     gram_bilinear,
     gram_hermitian,
     plucker_coordinates,

@@ -6,9 +6,9 @@ import itertools
 
 import numpy as np
 
-# Inputs rounder than this are rejected as not antisymmetric; closer ones are
-# symmetrized to (A - A^T)/2 so round-off-polluted Gram matrices behave
-# deterministically.
+# Inputs farther than this from antisymmetric are rejected; closer ones are
+# symmetrized to (A - A^T)/2.  The odd-m ε-Gram is exactly antisymmetric (it is
+# built as X - X^T), so this only settles callers' round-off-polluted matrices.
 ANTISYMMETRY_TOL = 1e-12
 
 

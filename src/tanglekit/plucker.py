@@ -4,54 +4,31 @@ determinants drive the monotones."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import comb
-
 import numpy as np
 
 from .bipartition import epsilon_apply
 from .linalg import maximal_minors
 
 
-@dataclass(frozen=True)
-class PluckerVector:
-    """The C(L, l) maximal minors of an L x l matrix, in
-    :func:`itertools.combinations` order of the row combinations."""
+def plucker_coordinates(z) -> np.ndarray:
+    """The C(L, l) Plücker coordinates of an L x l matrix, in
+    :func:`itertools.combinations` order of the row combinations.
 
-    rows: int
-    cols: int
-    coords: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=complex)
-        expected = comb(self.rows, self.cols)
-        if coords.shape != (expected,):
-            raise ValueError(
-                f"expected {expected} coordinates for Gr({self.rows}, {self.cols}), "
-                f"got shape {coords.shape}"
-            )
-        coords.flags.writeable = False
-        object.__setattr__(self, "coords", coords)
+    This is :func:`~tanglekit.linalg.maximal_minors` under the paper's name,
+    kept because ``verify`` calls it and perfbench traces it by this name.
+    """
+    return maximal_minors(z)
 
 
-def plucker_coordinates(z) -> PluckerVector:
-    """All maximal minors of ``z`` as a :class:`PluckerVector`."""
-    z = np.asarray(z, dtype=complex)
-    return PluckerVector(z.shape[0], z.shape[1], maximal_minors(z))
-
-
-def plucker_relation_residual(p: PluckerVector) -> float:
-    """|P01 P23 - P02 P13 + P03 P12| for Gr(4,2) coordinates.
+def plucker_relation_residual(coords) -> float:
+    """|P01 P23 - P02 P13 + P03 P12| for the six Gr(4,2) coordinates.
 
     Zero (up to round-off) whenever the coordinates come from an actual 4 x 2
     matrix; nonzero values witness a non-separable bivector.
     """
-    if (p.rows, p.cols) != (4, 2):
-        raise ValueError(
-            f"the quadratic relation is implemented for Gr(4,2) only, "
-            f"got Gr({p.rows},{p.cols})"
-        )
-    c = p.coords  # rows (0,1) (0,2) (0,3) (1,2) (1,3) (2,3)
+    c = np.asarray(coords, dtype=complex)  # rows (0,1) (0,2) (0,3) (1,2) (1,3) (2,3)
+    if c.shape != (6,):
+        raise ValueError(f"expected the 6 coordinates of Gr(4,2), got shape {c.shape}")
     return float(abs(c[0] * c[5] - c[1] * c[4] + c[2] * c[3]))
 
 

@@ -134,8 +134,8 @@ def check_gauge_covariance(trials: int, rng: np.random.Generator):
         rows, cols = shapes[t % len(shapes)]
         z = ginibre(rng, (rows, cols))
         s = ginibre(rng, (cols, cols))
-        left = plucker_coordinates(z @ s).coords
-        right = complex(np.linalg.det(s)) * plucker_coordinates(z).coords
+        left = plucker_coordinates(z @ s)
+        right = complex(np.linalg.det(s)) * plucker_coordinates(z)
         scale = max(1.0, float(np.abs(right).max()))
         yield (float(np.abs(left - right).max()) / scale,)
 

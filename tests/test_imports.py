@@ -1,12 +1,14 @@
 """Package layout, read from the source: private names stay private, every public
-name has a caller, and the CLI has one error boundary."""
+name has a caller, the CLI has one error boundary, and README's quick start runs."""
 
 import ast
+import re
 from pathlib import Path
 
 import tanglekit
 
 PACKAGE_DIR = Path(tanglekit.__file__).parent
+README = Path(__file__).parents[1] / "README.md"
 
 
 def _private_sibling_imports(path: Path) -> list[str]:
@@ -93,3 +95,14 @@ def test_cli_main_is_the_one_value_error_boundary():
             if node.type is None or names & CATCHES_VALUE_ERROR:
                 catchers.append(getattr(stmt, "name", "<module>"))
     assert catchers == ["main"]
+
+
+def quick_start_block(readme: Path) -> str:
+    """The ```python block under README's "## Library quick start" heading."""
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("\n## Library quick start\n", 1)[1]
+    return re.search(r"^```python\n(.*?)^```$", section, re.S | re.M).group(1)
+
+
+def test_readme_quick_start_runs():
+    exec(compile(quick_start_block(README), str(README), "exec"), {})

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tanglekit.bipartition import Partition, reshape, unreshape
+from tanglekit.local_ops import LocalOperator, apply_local, random_sl2, random_unitary
 from tanglekit.monotones import (
     _NORM_MAX,
     _NORM_MIN,
@@ -24,6 +25,7 @@ from tanglekit.monotones import (
     three_tangle,
 )
 from tanglekit.states import PureState, make_named_state, random_state
+from tanglekit.verify import _rel
 from oracles import (
     d_oracle,
     de_oracle_slogdet,
@@ -519,6 +521,36 @@ def test_homogeneity_fourth_power():
         for mono in (d_monotone, e_monotone):
             expected = abs(c) ** 4 * mono(state, part)
             assert abs(mono(scaled, part) - expected) <= 1e-10 * max(1.0, expected)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(6, 8),
+    near=st.sampled_from([None, "ghz", "product-zero"]),
+    log_eps=st.floats(-12.0, -1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_invariances_past_five_qubits(n, near, log_eps, seed):
+    # verify's lu and slocc suites draw N = 2..5; these are their oracles, at
+    # their tolerances, on Haar, GHZ + eps Haar and |0...0> + eps Haar states.
+    rng = np.random.default_rng(seed)
+    amps = random_state(n, seed=rng).amplitudes
+    if near is not None:
+        amps = make_named_state(near, n).amplitudes + 10.0**log_eps * amps
+    state = PureState(n, amps / np.linalg.norm(amps))
+    qubits = range(1, n + 1)
+    lu = apply_local(state, [LocalOperator(q, random_unitary(rng)) for q in qubits])
+    slocc = apply_local(state, [LocalOperator(q, random_sl2(rng)) for q in qubits])
+    c = complex(*rng.uniform(0.5, 1.5, size=2))
+    scaled = PureState(n, c * state.amplitudes)
+    for part in admissible_partitions(n):
+        d = d_monotone(state, part)
+        e = e_monotone(state, part)
+        assert _rel(d_monotone(lu, part), d) <= 1e-10
+        assert _rel(e_monotone(slocc, part), e) <= 1e-8
+        assert _rel(d_monotone(scaled, part), abs(c) ** 4 * d) <= 1e-10
+        assert _rel(e_monotone(scaled, part), abs(c) ** 4 * e) <= 1e-10
+        assert -1e-12 <= e <= d + 1e-12 and d <= 1.0 + 1e-12
 
 
 def test_norms_whose_fourth_power_is_not_a_normal_float_raise():
