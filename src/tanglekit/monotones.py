@@ -7,6 +7,9 @@ For a partition with ``L = 2**(N-n) >= l = 2**n`` and reshape ``Z``:
 * ``E = l**2 * |det(Z^T g Z)|**(2/l)`` with ``g`` the ε-form on the unselected
   factor is invariant under determinant-one SLOCC operations.
 
+When L = l, Gr(l, l) is a point with one Plücker coordinate, det Z, and
+``|det(Z^T g Z)| = |det Z|**2 = det(Z^H Z)`` as ``|det g| = 1``: E = D exactly.
+
 Both are homogeneous of degree 4 in the amplitudes, so unnormalized states are
 accepted.  Every reshape of a state has the state's Frobenius norm, so the
 scale is a fact of the state: :func:`_scale` reads the state's norm, computed
@@ -107,13 +110,15 @@ def d_monotone(state: PureState, partition: Partition) -> float:
 
 
 def e_monotone(state: PureState, partition: Partition) -> float:
-    """SLOCC monotone ``l**2 * |det(Z^T g Z)|**(2/l)``; at most D at unit norm."""
+    """SLOCC monotone ``l**2 * |det(Z^T g Z)|**(2/l)``; at most D, and D if L = l."""
+    if partition.L == partition.l:
+        return d_monotone(state, partition)
     z, factor = _scaled_reshape(state, partition)
     return _e_value(gram_bilinear(z, partition.m), factor, partition)
 
 
 def concurrence_squared(state: PureState) -> float:
-    """``4 |det C|**2`` for 2 qubits: the N-tangle, as det(C^T g C) = det(C)**2."""
+    """The 2-qubit N-tangle: its partition is square, so 4 det(C^H C) = 4 |det C|**2."""
     _require_qubits(state, 2, "concurrence_squared")
     return n_tangle(state)
 
@@ -256,8 +261,10 @@ def _surely_full_rank(gram: np.ndarray) -> bool:
       > 1e-8 - 6e-9, i.e. sigma_min(Z) > 6e-5: four orders of magnitude above
       the cut and the SVD's own error, which is a small multiple of it.
     """
+    shifted = gram.copy()
+    shifted.flat[:: len(gram) + 1] -= _FULL_RANK_SHIFT
     try:
-        np.linalg.cholesky(gram - _FULL_RANK_SHIFT * np.eye(len(gram)))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -267,7 +274,8 @@ def partition_report(state: PureState, partition: Partition) -> InvariantReport:
     """Monotone values, named auxiliary invariant, and rank flag for one partition.
 
     The partition is reshaped at most once and each Gram matrix formed at most
-    once.  The rank flag is decided by the first of these that settles it:
+    once; a square reshape forms no ε-Gram and reports E = D (module notes).
+    The rank flag is decided by the first of these that settles it:
 
     1. an exactly zero column of the reshape, which fewer nonzero amplitudes
        than l (``state.support < l``) leave without the reshape being formed:
@@ -289,8 +297,16 @@ def partition_report(state: PureState, partition: Partition) -> InvariantReport:
     check_partition(state, partition)
     scale, factor = _scale(state)
     z = reshape(state, partition) / scale if state.support >= partition.l else None
+    return _report(state, partition, z, factor)
+
+
+def _report(
+    state: PureState, partition: Partition, z: np.ndarray | None, factor: float
+) -> InvariantReport:
+    """:func:`partition_report` from the scaled reshape, None if support < l."""
     zero_column = z is None or not z.any(axis=0).all()
-    bilinear_gram = None if zero_column else gram_bilinear(z, partition.m)
+    square = partition.L == partition.l
+    bilinear_gram = None if zero_column or square else gram_bilinear(z, partition.m)
     aux_name, aux_value = _aux_invariant(state, partition, bilinear_gram, factor)
     if zero_column:
         return InvariantReport(
@@ -302,7 +318,8 @@ def partition_report(state: PureState, partition: Partition) -> InvariantReport:
     return InvariantReport(
         partition=partition,
         d_value=d_value,
-        e_value=min(_e_value(bilinear_gram, factor, partition), d_value),
+        e_value=d_value if square
+        else min(_e_value(bilinear_gram, factor, partition), d_value),
         aux_name=aux_name,
         aux_value=aux_value,
         rank_deficient=not _surely_full_rank(gram)
@@ -311,7 +328,10 @@ def partition_report(state: PureState, partition: Partition) -> InvariantReport:
 
 
 def all_partitions_report(state: PureState) -> list[InvariantReport]:
-    """One :class:`InvariantReport` per admissible partition of the state."""
+    """One :class:`InvariantReport` per admissible partition, from one unit-norm state."""
+    scale, factor = _scale(state)
+    unit = PureState(state.num_qubits, state.amplitudes / scale)
     return [
-        partition_report(state, p) for p in admissible_partitions(state.num_qubits)
+        _report(state, p, reshape(unit, p) if state.support >= p.l else None, factor)
+        for p in admissible_partitions(state.num_qubits)
     ]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from tanglekit.monotones import (
     _NORM_MAX,
     _NORM_MIN,
     FOUR_QUBIT_LMN_SIGNS,
+    _surely_full_rank,
     admissible_partitions,
     all_partitions_report,
     concurrence_squared,
@@ -24,6 +26,7 @@ from tanglekit.monotones import (
     partition_report,
     three_tangle,
 )
+from tanglekit.plucker import gram_bilinear, gram_hermitian
 from tanglekit.states import PureState, make_named_state, random_state
 from tanglekit.verify import _rel
 from oracles import (
@@ -435,9 +438,11 @@ def _rank_flag_states(n):
 
 
 def test_report_e_never_exceeds_d():
-    # |det(Z^T g Z)| <= det(Z^H Z) holds exactly, but round-off broke it in the
-    # report: on square Haar reshapes, where E = D, by up to 1.6e-13 relative,
-    # and by E = 0.016-0.043 over D = 0 on a reshape with a duplicated column.
+    # |det(Z^T g Z)| <= det(Z^H Z) holds exactly, but the ε-Gram determinant
+    # breaks it by round-off: by up to 1.6e-13 relative on square Haar reshapes,
+    # and by 0.016-0.043 over D = 0 on the square reshape with a duplicated
+    # column below. Square reshapes take E = D, so e_monotone reads exactly 0
+    # there; the report's min(E, D) guards the rectangular ones.
     states = [
         make_named_state(name, n) for name in ("ghz", "w", "product-zero") for n in range(2, 11)
     ]
@@ -449,8 +454,67 @@ def test_report_e_never_exceeds_d():
     for seed in range(6):
         z = reshape(random_state(12, seed=seed), part).copy()
         z[:, -1] = z[:, 0]
-        report = partition_report(unreshape(z, part), part)
+        state = unreshape(z, part)
+        report = partition_report(state, part)
         assert report.e_value <= report.d_value, seed
+        assert e_monotone(state, part) == 0.0, seed
+
+
+def test_square_partitions_take_e_equal_to_d():
+    # Gr(l, l) is a point with the one Plücker coordinate det Z, and |det g| = 1,
+    # so |det(Z^T g Z)| = det(Z^H Z): E = D on every square reshape. The report
+    # and e_monotone take D's value; the ε-Gram determinant is the oracle.
+    squares = 0
+    for n in (2, 4, 6, 8):
+        states = [random_state(n, seed=240 + n)]
+        states += [make_named_state(name, n) for name in ("ghz", "w")]
+        for state in states:
+            for report in all_partitions_report(state):
+                part = report.partition
+                if part.L != part.l:
+                    continue
+                squares += 1
+                d = report.d_value
+                assert _same_bits(report.e_value, d), (n, part.label)
+                assert _same_bits(e_monotone(state, part), d_monotone(state, part))
+                gram = gram_bilinear(reshape(state, part), part.m)
+                oracle = part.l**2 * abs(np.linalg.det(gram)) ** (2.0 / part.l)
+                assert abs(oracle - d) <= 1e-10 * d, (n, part.label, oracle, d)
+    assert squares == 3 * (1 + 3 + 10 + 35)
+
+
+def _same_report(a, b) -> bool:
+    """Field by field, with numbers compared by :func:`_same_bits`."""
+    return all(
+        type(x) is type(y) and (_same_bits(x, y) if isinstance(x, (float, complex)) else x == y)
+        for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b), strict=True)
+    )
+
+
+def test_all_partitions_report_scales_once_to_the_same_bits():
+    # all_partitions_report divides the amplitudes by the norm once; each
+    # partition_report divides its own reshape. Elementwise, that is one division.
+    states = [
+        PureState(n, scale * random_state(n, seed=250 + n).amplitudes)
+        for n in range(2, 9)
+        for scale in (1e-70, 1.0, 1e70)
+    ]
+    states += [PureState(6, np.zeros(64))]
+    states += [_sparse_state(n, seed=260 + 10 * n + i) for n in range(4, 9) for i in range(3)]
+    for state in states:
+        parts = admissible_partitions(state.num_qubits)
+        singles = [partition_report(state, p) for p in parts]
+        for report, single in zip(all_partitions_report(state), singles, strict=True):
+            assert _same_report(report, single), (state.num_qubits, report.partition.label)
+
+
+def test_full_rank_check_leaves_its_argument_alone():
+    for z, full in ((random_state(6, seed=270).amplitudes.reshape(8, 8), True),
+                    (np.ones((8, 8)), False)):
+        gram = gram_hermitian(z / np.linalg.norm(z))
+        before = gram.copy()
+        assert _surely_full_rank(gram) is full
+        assert gram.tobytes() == before.tobytes()
 
 
 def test_rank_flag_matches_svd_rank_on_state_families():
