@@ -9,6 +9,9 @@ For a partition with ``L = 2**(N-n) >= l = 2**n`` and reshape ``Z``:
 
 When L = l, Gr(l, l) is a point with one Plücker coordinate, det Z, and
 ``|det(Z^T g Z)| = |det Z|**2 = det(Z^H Z)`` as ``|det g| = 1``: E = D exactly.
+That identity is exact in the math; the computed square E is D's value, taken
+from the Hermitian Gram matrix, so it carries that matrix's kappa(Z)**2
+round-off where ``|det Z|`` itself would carry kappa(Z).
 
 Both are homogeneous of degree 4 in the amplitudes, so unnormalized states are
 accepted.  Every reshape of a state has the state's Frobenius norm, so the
@@ -110,7 +113,12 @@ def d_monotone(state: PureState, partition: Partition) -> float:
 
 
 def e_monotone(state: PureState, partition: Partition) -> float:
-    """SLOCC monotone ``l**2 * |det(Z^T g Z)|**(2/l)``; at most D, and D if L = l."""
+    """SLOCC monotone ``l**2 * |det(Z^T g Z)|**(2/l)``; at most D, and D if L = l.
+
+    On a square partition the value is D's, from the Hermitian Gram matrix: E = D
+    is exact in the math, but the computed value carries kappa(Z)**2 round-off,
+    so its SLOCC invariance holds only to that accuracy.
+    """
     if partition.L == partition.l:
         return d_monotone(state, partition)
     z, factor = _scaled_reshape(state, partition)
@@ -275,6 +283,10 @@ def partition_report(state: PureState, partition: Partition) -> InvariantReport:
 
     The partition is reshaped at most once and each Gram matrix formed at most
     once; a square reshape forms no ε-Gram and reports E = D (module notes).
+    The three 4-qubit L/M/N partitions are the exception: their aux value comes
+    from :func:`four_qubit_lmn`, which makes 3 more reshapes and 3 more
+    determinants.  The report's own reshape would do, but perfbench's pin
+    ``ratio.reshape_per_partition > 1`` counts on those extra reshapes.
     The rank flag is decided by the first of these that settles it:
 
     1. an exactly zero column of the reshape, which fewer nonzero amplitudes

@@ -264,6 +264,12 @@ def test_verify_suite_passes(capsys):
     assert code == 0
     assert "[PASS] plucker-relation" in stdout
     assert "2/2 properties passed" in stdout
+    # Every property of every suite runs exactly --trials trials.
+    code, stdout, _ = run_cli(capsys, "verify", "all", "--trials", "3", "--seed", "5")
+    *lines, last = stdout.splitlines()
+    assert code == 0
+    assert len(lines) == 17 and all(line.endswith(" trials 3") for line in lines)
+    assert last == "17/17 properties passed"
 
 
 def test_verify_output_deterministic(capsys):

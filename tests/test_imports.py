@@ -97,12 +97,9 @@ def test_cli_main_is_the_one_value_error_boundary():
     assert catchers == ["main"]
 
 
-def quick_start_block(readme: Path) -> str:
-    """The ```python block under README's "## Library quick start" heading."""
-    text = readme.read_text(encoding="utf-8")
-    section = text.split("\n## Library quick start\n", 1)[1]
-    return re.search(r"^```python\n(.*?)^```$", section, re.S | re.M).group(1)
-
-
 def test_readme_quick_start_runs():
-    exec(compile(quick_start_block(README), str(README), "exec"), {})
+    # The ```python block under README's "## Library quick start" heading.
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library quick start\n", 1)[1]
+    block = re.search(r"^```python\n(.*?)^```$", section, re.S | re.M).group(1)
+    exec(compile(block, str(README), "exec"), {})
