@@ -1,7 +1,8 @@
 """Command-line interface: compute invariants, generate state files, and run
-the randomized verification suites.
+the randomized verification suites. Each command returns its exit code and
+its text; `main` alone writes that text, to stdout or `-o`, and prints errors.
 
-Exit codes: 0 success, 1 verification failure, 2 input/usage error.
+Exit codes: 0 success, 1 verification failure, 2 input, usage or output error.
 """
 
 from __future__ import annotations
@@ -9,8 +10,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 from .bipartition import Partition
 from .monotones import InvariantReport, all_partitions_report, partition_report
@@ -88,53 +90,37 @@ def _render_csv(reports: list[InvariantReport], monotone: str) -> str:
     return buf.getvalue()
 
 
-def _write_output(text: str, path: str | None) -> int:
-    stdout = nullcontext(sys.stdout)
-    try:
-        with stdout if path is None else open(path, "w", encoding="utf-8") as fh:
-            for start in range(0, len(text), _WRITE_SLICE):
-                fh.write(text[start : start + _WRITE_SLICE])
-    except OSError as exc:
-        print(f"error: cannot write output file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
-
-
-def cmd_compute(args) -> int:
+def cmd_compute(args) -> tuple[int, str]:
     try:
         state = load_state(args.state)
     except OSError as exc:
-        print(f"error: cannot read state file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"cannot read state file: {exc}") from exc
     if args.all_partitions:
         reports = all_partitions_report(state)
     else:
         part = Partition.from_label(state.num_qubits, args.partition)
         reports = [partition_report(state, part)]
     if args.format == "json":
-        text = _render_json(state.num_qubits, reports, args.monotone)
-    else:
-        text = _render_csv(reports, args.monotone)
-    return _write_output(text, args.output)
+        return EXIT_OK, _render_json(state.num_qubits, reports, args.monotone)
+    return EXIT_OK, _render_csv(reports, args.monotone)
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple[int, str]:
     state = make_named_state(args.name, args.num_qubits, seed=args.seed)
-    return _write_output(serialize_state(state), args.output)
+    return EXIT_OK, serialize_state(state)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     results = run_suite(args.suite, trials=args.trials, seed=args.seed)
     width = max(len(r.name) for r in results)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(
-            f"[{status}] {r.name:<{width}}  max residual {r.max_residual:.3e}  "
-            f"tolerance {r.tolerance:.0e}  trials {r.trials}"
-        )
+    lines = [
+        f"[{'PASS' if r.passed else 'FAIL'}] {r.name:<{width}}  max residual "
+        f"{r.max_residual:.3e}  tolerance {r.tolerance:.0e}  trials {r.trials}\n"
+        for r in results
+    ]
     failed = sum(1 for r in results if not r.passed)
-    print(f"{len(results) - failed}/{len(results)} properties passed")
-    return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
+    lines.append(f"{len(results) - failed}/{len(results)} properties passed\n")
+    return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED, "".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,9 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="compute monotones for a state file")
     p_compute.add_argument("--state", required=True, help="path to a state file")
     group = p_compute.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        "--partition", help="comma-separated 1-based qubit positions, e.g. 3,4"
-    )
+    group.add_argument("--partition", help="comma-separated 1-based qubit positions, e.g. 3,4")
     group.add_argument(
         "--all-partitions", action="store_true", help="report every admissible partition"
     )
@@ -169,19 +153,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=SUITE_NAMES)
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.set_defaults(fn=cmd_verify)
+    p_verify.set_defaults(fn=cmd_verify, output=None)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # The one error boundary: a command's ValueError (StateParseError too) is exit 2.
+    # The one boundary: ValueError (StateParseError too) and a failed write are exit 2.
     try:
-        return args.fn(args)
+        code, text = args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    stdout = nullcontext(sys.stdout)
+    try:
+        with stdout if args.output is None else open(args.output, "w", encoding="utf-8") as fh:
+            for start in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[start : start + _WRITE_SLICE])
+            fh.flush()  # a buffered stdout fails here, not after main has returned
+    except OSError as exc:
+        print(f"error: cannot write output file: {exc}", file=sys.stderr)
+        # What stdout still buffers would fail again in Python's flush at exit (code 120).
+        if args.output is None:
+            with suppress(OSError), open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -250,13 +253,78 @@ class _BrokenPipe(io.StringIO):
 def test_failing_stdout_write_exits_2(tmp_path, capsys, monkeypatch):
     state = tmp_path / "ghz3.json"
     state.write_text(serialize_state(make_named_state("ghz", 3)), encoding="utf-8")
-    for argv in (("gen", "ghz", "3"), ("compute", "--state", str(state), "--partition", "1")):
+    for argv in (
+        ("gen", "ghz", "3"),
+        ("compute", "--state", str(state), "--partition", "1"),
+        ("verify", "lmn", "--trials", "1"),
+    ):
         with monkeypatch.context() as patch:
             patch.setattr("sys.stdout", _BrokenPipe())
             code = cli.main(list(argv))
         stderr = capsys.readouterr().err
         assert code == 2, argv
         assert stderr == "error: cannot write output file: [Errno 32] Broken pipe\n", argv
+
+
+def test_closed_stdout_pipe_exits_2_in_a_subprocess(tmp_path):
+    # The console script's path: a real stdout whose reader has gone, buffered
+    # (Python's default for a pipe) or not. The exit-time flush of a buffered
+    # stdout must not fail again and turn exit 2 into 120.
+    state = tmp_path / "ghz3.json"
+    state.write_text(serialize_state(make_named_state("ghz", 3)), encoding="utf-8")
+    package_parent = str(Path(cli.__file__).resolve().parents[1])
+    commands = (
+        ("gen", "ghz", "3"),
+        ("compute", "--state", str(state), "--partition", "1"),
+        ("verify", "lmn", "--trials", "1"),
+    )
+    for unbuffered in ("", "1"):
+        env = {**os.environ, "PYTHONPATH": package_parent, "PYTHONUNBUFFERED": unbuffered}
+        for argv in commands:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "tanglekit.cli", *argv],
+                    stdout=write_end,
+                    stderr=subprocess.PIPE,
+                    cwd=tmp_path,
+                    env=env,
+                    timeout=120,
+                )
+            finally:
+                os.close(write_end)
+            stderr = proc.stderr.decode()
+            assert proc.returncode == 2, (argv, unbuffered, stderr)
+            assert stderr == "error: cannot write output file: [Errno 32] Broken pipe\n", (
+                argv,
+                unbuffered,
+            )
+
+
+def test_failing_command_leaves_output_target_as_it_was(tmp_path, capsys):
+    ghz3 = tmp_path / "ghz3.json"
+    ghz3.write_text(serialize_state(make_named_state("ghz", 3)), encoding="utf-8")
+    not_json = tmp_path / "not-json.json"
+    not_json.write_text("hello", encoding="utf-8")
+    compute = ("compute", "--state")
+    commands = (
+        ("gen", "bell", "3"),
+        (*compute, str(tmp_path / "nope.json"), "--partition", "1"),
+        (*compute, str(ghz3), "--partition", "5"),
+        (*compute, str(not_json), "--partition", "1"),
+    )
+    for argv in commands:
+        absent = tmp_path / "absent.out"
+        code, stdout, stderr = run_cli(capsys, *argv, "-o", str(absent))
+        assert (code, stdout) == (2, ""), argv
+        assert stderr.startswith("error: "), argv
+        assert not absent.exists(), argv
+        existing = tmp_path / "existing.out"
+        existing.write_bytes(b"earlier output\n")
+        code, stdout, _ = run_cli(capsys, *argv, "-o", str(existing))
+        assert (code, stdout) == (2, ""), argv
+        assert existing.read_bytes() == b"earlier output\n", argv
 
 
 def test_verify_suite_passes(capsys):
@@ -290,6 +358,11 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     code, stdout, _ = run_cli(capsys, "verify", "plucker")
     assert code == 1
     assert "[FAIL] doomed" in stdout
+    # A failure report that nobody can read is an output error: exit 2, not 1.
+    monkeypatch.setattr("sys.stdout", _BrokenPipe())
+    code = cli.main(["verify", "plucker"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: cannot write output file: [Errno 32] Broken pipe\n"
 
 
 def test_trials_must_be_positive(capsys):
