@@ -98,24 +98,19 @@ class Partition:
         return cls(num_qubits, tuple(int(tok) for tok in label.split(",")))
 
 
-def check_partition(state: PureState, partition: Partition) -> None:
-    """ValueError unless ``partition`` splits a register of ``state``'s size."""
-    if partition.num_qubits != state.num_qubits:
-        raise ValueError(
-            f"partition is for {partition.num_qubits} qubits, state has "
-            f"{state.num_qubits}"
-        )
-
-
 def _reshape_axes(partition: Partition) -> list[int]:
     """The tensor axes in reshape order: unselected qubits first, then selected."""
     return [k - 1 for k in partition.unselected] + [k - 1 for k in partition.selected]
 
 
 def reshape(state: PureState, partition: Partition) -> np.ndarray:
-    """The L x l coefficient matrix of ``state`` for the given partition."""
-    check_partition(state, partition)
+    """The L x l coefficient matrix of ``state`` for the given partition; ValueError
+    unless ``partition`` splits a register of ``state``'s size."""
     n_total = state.num_qubits
+    if partition.num_qubits != n_total:
+        raise ValueError(
+            f"partition is for {partition.num_qubits} qubits, state has {n_total}"
+        )
     tensor = state.amplitudes.reshape((2,) * n_total)
     return tensor.transpose(_reshape_axes(partition)).reshape(partition.L, partition.l)
 

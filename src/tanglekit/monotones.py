@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipartition import Partition, check_partition, reshape
+from .bipartition import Partition, reshape
 from .linalg import pfaffian
 from .plucker import gram_bilinear, gram_hermitian
 from .states import PureState
@@ -281,7 +281,7 @@ def _surely_full_rank(gram: np.ndarray) -> bool:
 def partition_report(state: PureState, partition: Partition) -> InvariantReport:
     """Monotone values, named auxiliary invariant, and rank flag for one partition.
 
-    The partition is reshaped at most once and each Gram matrix formed at most
+    The partition is reshaped once and each Gram matrix formed at most
     once; a square reshape forms no ε-Gram and reports E = D (module notes).
     The three 4-qubit L/M/N partitions are the exception: their aux value comes
     from :func:`four_qubit_lmn`, which makes 3 more reshapes and 3 more
@@ -289,10 +289,9 @@ def partition_report(state: PureState, partition: Partition) -> InvariantReport:
     ``ratio.reshape_per_partition > 1`` counts on those extra reshapes.
     The rank flag is decided by the first of these that settles it:
 
-    1. an exactly zero column of the reshape, which fewer nonzero amplitudes
-       than l (``state.support < l``) leave without the reshape being formed:
-       every maximal minor then vanishes, so D = E = 0 exactly (Cauchy-Binet),
-       the rank is below l, and no Gram matrix is formed;
+    1. an exactly zero column of the reshape, as fewer nonzero amplitudes than
+       l always leave: every maximal minor then vanishes, so D = E = 0 exactly
+       (Cauchy-Binet), the rank is below l, and no Gram matrix is formed;
     2. a Cholesky check of the Hermitian Gram matrix that certifies full rank;
     3. the SVD rank of the scaled reshape.
 
@@ -306,16 +305,13 @@ def partition_report(state: PureState, partition: Partition) -> InvariantReport:
     E is reported as ``min(E, D)``: |det(Z^T g Z)| <= det(Z^H Z) by Cauchy-Binet
     and Cauchy-Schwarz (g is real orthogonal), so only round-off lifts E above D.
     """
-    check_partition(state, partition)
-    scale, factor = _scale(state)
-    z = reshape(state, partition) / scale if state.support >= partition.l else None
-    return _report(state, partition, z, factor)
+    return _report(state, partition, *_scaled_reshape(state, partition))
 
 
 def _report(
     state: PureState, partition: Partition, z: np.ndarray | None, factor: float
 ) -> InvariantReport:
-    """:func:`partition_report` from the scaled reshape, None if support < l."""
+    """A report from the scaled reshape, or from None: all_partitions_report's support < l."""
     zero_column = z is None or not z.any(axis=0).all()
     square = partition.L == partition.l
     bilinear_gram = None if zero_column or square else gram_bilinear(z, partition.m)

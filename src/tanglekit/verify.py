@@ -178,13 +178,16 @@ def check_epsilon_form(trials: int, rng: np.random.Generator):
         float(np.abs(epsilon_matrix(3) - EPSILON_FORM_8).max()),
     )
     for t in range(trials):
-        m = 1 + t % 4
-        v = ginibre(rng, 2**m)
-        # implicit application vs materialized matrix, and the involution sign
+        m = 1 + t % 6
+        z = ginibre(rng, (2**m, 2))
+        gram = gram_bilinear(z, m)
+        # implicit application vs materialized matrix, the involution sign, and
+        # the ε-Gram's parity: antisymmetric for odd m, symmetric for even m
         yield (
             *frozen,
-            float(np.abs(epsilon_apply(m, v) - epsilon_matrix(m) @ v).max()),
-            float(np.abs(epsilon_apply(m, epsilon_apply(m, v)) - (-1.0) ** m * v).max()),
+            float(np.abs(epsilon_apply(m, z) - epsilon_matrix(m) @ z).max()),
+            float(np.abs(epsilon_apply(m, epsilon_apply(m, z)) - (-1.0) ** m * z).max()),
+            float(np.abs(gram - (-1.0) ** m * gram.T).max()),
         )
 
 

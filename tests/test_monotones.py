@@ -133,10 +133,13 @@ def test_monotones_reject_mismatched_partition():
         d_monotone(GHZ3, Partition(4, (4,)))
     with pytest.raises(ValueError):
         e_monotone(GHZ4, P3)
-    # GHZ-3 has fewer nonzero amplitudes than this partition's l = 4, so the
-    # report settles it without a reshape; the mismatch must still raise.
+    # Each state has fewer nonzero amplitudes than its partition's l (4 and 8),
+    # which the report settles by the zero-column exit; only the reshape sees
+    # the mismatch, and it must still raise.
     with pytest.raises(ValueError, match="^partition is for 4 qubits, state has 3$"):
         partition_report(GHZ3, Partition(4, (3, 4)))
+    with pytest.raises(ValueError):
+        partition_report(make_named_state("ghz", 6), Partition(7, (1, 2, 3)))
 
 
 def test_concurrence_squared_values():
@@ -530,7 +533,7 @@ def test_rank_flag_matches_svd_rank_on_state_families():
     assert deficient > 0
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, print_blob=True)
 @given(
     n=st.integers(2, 8),
     pick=st.integers(0, 10**6),
@@ -587,7 +590,7 @@ def test_homogeneity_fourth_power():
             assert abs(mono(scaled, part) - expected) <= 1e-10 * max(1.0, expected)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, print_blob=True)
 @given(
     n=st.integers(6, 8),
     near=st.sampled_from([None, "ghz", "product-zero"]),
@@ -656,8 +659,8 @@ def test_norms_whose_fourth_power_is_not_a_normal_float_raise():
         for call in (d_monotone, e_monotone, partition_report):
             with pytest.raises(ValueError, match=range_message):
                 call(bell_like(2, c), p2)
-        # A 5-qubit n = 2 report of a sparse state leaves on the support exit,
-        # which comes after the norm check.
+        # A 5-qubit n = 2 report of a sparse state leaves on the zero-column
+        # exit, which comes after the norm check.
         for call in (five_qubit_pfaffian_monotone, partition_report):
             with pytest.raises(ValueError, match=range_message):
                 call(bell_like(5, c), p5)

@@ -361,7 +361,7 @@ def _outcome(parse, text):
     return state.num_qubits, state.amplitudes.view(np.uint64).tobytes()
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, print_blob=True)
 @given(data=st.data())
 def test_parse_state_matches_the_whole_document_oracle(data):
     # Mutated serialize_state documents of 8-12 qubits (one to four chunks);

@@ -6,6 +6,7 @@ import pytest
 
 import tanglekit.cli as cli
 import tanglekit.verify as verify
+from tanglekit.bipartition import epsilon_apply
 from tanglekit.verify import SUITE_NAMES, check_lmn_sum, check_slocc_invariance, run_suite
 
 NAMED_SUITES = [name for name in SUITE_NAMES if name != "all"]
@@ -69,8 +70,8 @@ def test_trials_must_be_positive(trials):
 
 
 def test_all_suite_report_shape():
-    # Every property counts one trial per random draw: a matrix or vector, a
-    # state with all its partitions, or one state per register size N in
+    # Every property counts one trial per random draw: a matrix, a state
+    # with all its partitions, or one state per register size N in
     # {2, 3, 4} for POVM monotonicity.
     expected = [
         ("plucker-relation", 1e-12, 20),
@@ -94,6 +95,28 @@ def test_all_suite_report_shape():
     results = run_suite("all", trials=20, seed=3)
     assert [(r.name, r.tolerance, r.trials) for r in results] == expected
     assert all(r.passed for r in results)
+
+
+def test_epsilon_form_sees_a_symmetric_epsilon_gram_past_four_qubits(monkeypatch):
+    # The Cauchy-Binet properties draw N = 2..5 and never form an ε-Gram with
+    # m >= 5; epsilon-form draws m = 1..6, so a Gram that is symmetric where it
+    # should be antisymmetric (X + X^T for odd m >= 5) fails it.
+    real = verify.gram_bilinear
+
+    def symmetric_for_odd_m_past_four(z, m):
+        if m < 5 or m % 2 == 0:
+            return real(z, m)
+        half = len(z) // 2
+        x = z[:half].T @ epsilon_apply(m - 1, z[half:])
+        return x + x.T
+
+    monkeypatch.setattr(verify, "gram_bilinear", symmetric_for_odd_m_past_four)
+    results = {r.name: r.passed for r in run_suite("cauchy-binet", trials=6, seed=0)}
+    assert results == {
+        "cauchy-binet-hermitian": True,
+        "cauchy-binet-bilinear": True,
+        "epsilon-form": False,
+    }
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
