@@ -39,7 +39,6 @@ from .monotones import (
     five_qubit_pfaffian_monotone,
     four_qubit_h,
     four_qubit_lmn,
-    meyer_wallach_q,
     n_tangle,
     partition_report,
     three_tangle,

