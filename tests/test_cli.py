@@ -24,6 +24,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_cli_error(capsys, argv, message):
+    # A rejected input: exit 2, nothing on stdout, and exactly this `error:` line.
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+
+
 def test_gen_ghz_file(tmp_path, capsys):
     out = tmp_path / "ghz4.json"
     code, stdout, _ = run_cli(capsys, "gen", "ghz", "4", "-o", str(out))
@@ -63,10 +68,29 @@ def test_gen_matches_committed_state_file(tmp_path, capsys):
     assert out.read_bytes() == (DATA / "haar5-seed7.state.json").read_bytes()
 
 
+def test_gen_invalid_combination_exits_2(capsys):
+    assert_cli_error(capsys, ("gen", "bell", "3"), "bell state needs exactly 2 qubits, got 3")
+
+
 def test_gen_unknown_name_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "gen", "spooky", "3")
     assert exc.value.code == 2
+
+
+def test_gen_nonpositive_size_exits_2(capsys):
+    for size in ("0", "-1"):
+        assert_cli_error(capsys, ("gen", "ghz", size), f"num_qubits must be >= 1, got {size}")
+
+
+def test_gen_oversized_register_exits_2(capsys):
+    # 2**40 amplitudes: rejected before anything is allocated.
+    for name in ("ghz", "haar-random"):
+        assert_cli_error(capsys, ("gen", name, "40"), "num_qubits must be <= 26, got 40")
+
+
+def test_verify_negative_seed_exits_2(capsys):
+    assert_cli_error(capsys, ("verify", "all", "--seed", "-1"), "expected non-negative integer")
 
 
 def test_compute_single_partition_json(tmp_path, capsys):
@@ -182,6 +206,30 @@ def test_compute_malformed_file_exits_2_without_output(tmp_path, capsys):
         assert code == 2, name
         assert stdout == "", name
         assert stderr.startswith("error: "), name
+
+
+def test_compute_missing_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    assert_cli_error(
+        capsys,
+        ("compute", "--state", str(missing), "--partition", "1"),
+        f"cannot read state file: [Errno 2] No such file or directory: {str(missing)!r}",
+    )
+
+
+def test_compute_bad_partition_exits_2(tmp_path, capsys):
+    path = tmp_path / "ghz3.json"
+    path.write_text(serialize_state(make_named_state("ghz", 3)), encoding="utf-8")
+    for spec, message in (
+        ("x", "malformed partition spec 'x'"),
+        (
+            "1,2",
+            "at most N/2 qubits may be selected (n=2, N=3); "
+            "use the complementary subset instead",
+        ),
+        ("5", "selected positions must be strictly increasing in [1, 3], got (5,)"),
+    ):
+        assert_cli_error(capsys, ("compute", "--state", str(path), "--partition", spec), message)
 
 
 def test_compute_requires_partition_choice(tmp_path, capsys):
@@ -324,8 +372,11 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: cannot write output file: [Errno 32] Broken pipe\n"
 
 
+def test_trials_must_be_positive(capsys):
+    assert_cli_error(capsys, ("verify", "all", "--trials", "0"), "trials must be >= 1, got 0")
+
+
 def test_every_cli_error_path_exits_2_with_its_message(tmp_path, capsys):
-    # One row per rejected input: exit 2, nothing on stdout, and exactly this `error:` line.
     ghz3 = tmp_path / "ghz3.json"
     ghz3.write_text(serialize_state(make_named_state("ghz", 3)), encoding="utf-8")
     documents = {
@@ -339,22 +390,11 @@ def test_every_cli_error_path_exits_2_with_its_message(tmp_path, capsys):
     }
     for name, text in documents.items():
         (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
-    missing = tmp_path / "nope.json"
     unwritable = tmp_path / "missing" / "x.json"
     compute = ("compute", "--state")
     rows = [
-        (("gen", "bell", "3"), "bell state needs exactly 2 qubits, got 3"),
-        (("gen", "ghz", "0"), "num_qubits must be >= 1, got 0"),
-        (("gen", "ghz", "-1"), "num_qubits must be >= 1, got -1"),
-        # 2**40 amplitudes: rejected before anything is allocated.
-        (("gen", "ghz", "40"), "num_qubits must be <= 26, got 40"),
-        (("gen", "haar-random", "40"), "num_qubits must be <= 26, got 40"),
         (("gen", "w", "1"), "w state needs at least 2 qubits, got 1"),
         (("gen", "haar-random", "3", "--seed", "-5"), "expected non-negative integer"),
-        (
-            (*compute, str(missing), "--partition", "1"),
-            f"cannot read state file: [Errno 2] No such file or directory: {str(missing)!r}",
-        ),
         (
             (*compute, str(tmp_path / "not-json.json"), "--partition", "1"),
             "invalid document: Expecting value (at position 0)",
@@ -366,16 +406,6 @@ def test_every_cli_error_path_exits_2_with_its_message(tmp_path, capsys):
         (
             (*compute, str(ghz3), "--partition", "1,,2"),
             "malformed partition spec '1,,2'",
-        ),
-        ((*compute, str(ghz3), "--partition", "x"), "malformed partition spec 'x'"),
-        (
-            (*compute, str(ghz3), "--partition", "1,2"),
-            "at most N/2 qubits may be selected (n=2, N=3); "
-            "use the complementary subset instead",
-        ),
-        (
-            (*compute, str(ghz3), "--partition", "5"),
-            "selected positions must be strictly increasing in [1, 3], got (5,)",
         ),
         (
             (*compute, str(tmp_path / "one-qubit.json"), "--all-partitions"),
@@ -398,9 +428,6 @@ def test_every_cli_error_path_exits_2_with_its_message(tmp_path, capsys):
             (*compute, str(tmp_path / "c1e-90.json"), "--partition", "2"),
             "state norm is 1.414e-90, outside [1.221e-77, 1.158e+77]",
         ),
-        (("verify", "all", "--trials", "0"), "trials must be >= 1, got 0"),
-        (("verify", "all", "--seed", "-1"), "expected non-negative integer"),
     ]
     for argv, message in rows:
-        code, stdout, stderr = run_cli(capsys, *argv)
-        assert (code, stdout, stderr) == (2, "", f"error: {message}\n"), argv
+        assert_cli_error(capsys, argv, message)

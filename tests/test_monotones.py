@@ -157,6 +157,13 @@ def test_concurrence_equals_four_det_squared():
         assert abs(concurrence_squared(state) - expected) < 1e-12
 
 
+def test_concurrence_rejects_other_sizes():
+    with pytest.raises(
+        ValueError, match="^concurrence_squared is defined for 2 qubits, got 3$"
+    ):
+        concurrence_squared(GHZ3)
+
+
 def test_three_tangle_values():
     assert abs(three_tangle(GHZ3) - 1.0) < 1e-10
     assert three_tangle(W3) < 1e-12
@@ -172,6 +179,13 @@ def test_three_tangle_partition_agreement():
         assert abs(three_tangle(state) - values[2]) < 1e-15
 
 
+def test_three_tangle_rejects_other_sizes():
+    with pytest.raises(
+        ValueError, match="^three_tangle is defined for 3 qubits, got 4$"
+    ):
+        three_tangle(GHZ4)
+
+
 def test_four_qubit_h_values():
     assert abs(four_qubit_h(GHZ4) - 0.5) < 1e-15
     assert four_qubit_h(make_named_state("product-zero", 4)) == 0.0
@@ -183,6 +197,17 @@ def test_four_qubit_h_squares_to_e_monotone():
         h = four_qubit_h(state)
         e = e_monotone(state, Partition(4, (4,)))
         assert abs(4.0 * abs(h) ** 2 - e) < 1e-10
+
+
+def test_four_qubit_h_rejects_other_sizes():
+    with pytest.raises(
+        ValueError, match="^four_qubit_h is defined for 4 qubits, got 3$"
+    ):
+        four_qubit_h(GHZ3)
+    with pytest.raises(
+        ValueError, match="^four_qubit_lmn is defined for 4 qubits, got 5$"
+    ):
+        four_qubit_lmn(GHZ5)
 
 
 def test_four_qubit_lmn_sign_convention_frozen():
@@ -229,17 +254,9 @@ def test_n_tangle_permutation_invariance_even_n():
         assert max(values) - min(values) < 1e-10
 
 
-def test_named_quantities_reject_other_register_sizes():
-    rows = [
-        (concurrence_squared, GHZ3, "concurrence_squared is defined for 2 qubits, got 3"),
-        (three_tangle, GHZ4, "three_tangle is defined for 3 qubits, got 4"),
-        (four_qubit_h, GHZ3, "four_qubit_h is defined for 4 qubits, got 3"),
-        (four_qubit_lmn, GHZ5, "four_qubit_lmn is defined for 4 qubits, got 5"),
-        (n_tangle, PureState(1, [1.0, 0.0]), "n_tangle needs at least 2 qubits, got 1"),
-    ]
-    for quantity, state, message in rows:
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            quantity(state)
+def test_n_tangle_rejects_single_qubit():
+    with pytest.raises(ValueError, match="^n_tangle needs at least 2 qubits, got 1$"):
+        n_tangle(PureState(1, [1.0, 0.0]))
 
 
 def test_five_qubit_pfaffian_matches_determinant_path():
