@@ -21,6 +21,12 @@ divides its reshape (or the amplitudes) by that norm, to keep the determinants
 well conditioned; nothing else rescales.  Every value is formed on the
 unit-norm input, where it is at most about 1, and leaves through
 :func:`_unscaled`, times the factor (its square root for ``four_qubit_h``).
+
+:func:`all_partitions_report` reshapes only the top layer n = N // 2.  Below
+it each partition takes both Gram matrices from those of the partition with one
+more selected qubit, in O(l**2): the Hermitian one by a partial trace, the
+ε-Gram by a signed difference of two off-diagonal blocks.  Those values equal
+:func:`partition_report`'s to round-off, not to the bit.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 
 from .bipartition import Partition, reshape
 from .linalg import pfaffian
-from .plucker import gram_bilinear, gram_hermitian
+from .plucker import gram_bilinear, gram_hermitian, partial_trace_grams
 from .states import PureState
 
 # The selections of the three square 4-qubit reshapes whose determinants are
@@ -253,7 +259,10 @@ def _surely_full_rank(gram: np.ndarray) -> bool:
       holds at most MAX_QUBITS = 26 qubits (l <= 2**13, L <= 2**25) it is
       below 2**25 * 2**-52 < 7.5e-9.
     * Gram round-off: the computed G is Z^H Z + E1 with ||E1|| <~ sqrt(2) L u
-      (complex dot products of length L whose terms add up to tr G = 1).
+      (complex dot products of length L whose terms add up to tr G = 1).  A
+      Gram matrix that all_partitions_report derives by partial traces holds
+      the same dot products summed in another order, and the gamma_L bound on
+      a sum does not depend on the order, so the bound stands.
     * Cholesky backward error (Higham, *Accuracy and Stability of Numerical
       Algorithms*, Thm. 10.3): a factorization of A = G - s I that completes
       gives R with R^H R = A + E2, |E2| <= gamma_(l+1) |R^H| |R|.  By
@@ -262,6 +271,14 @@ def _surely_full_rank(gram: np.ndarray) -> bool:
     * R^H R is positive definite, so lambda_min(Z^H Z) > s - sqrt(2) (L + l + 3) u
       > 1e-8 - 6e-9, i.e. sigma_min(Z) > 6e-5: four orders of magnitude above
       the cut and the SVD's own error, which is a small multiple of it.
+
+    A certificate is inherited in all_partitions_report.  Moving a qubit out of
+    the selection turns Z'^H Z' into Z^H Z = G'_00 + G'_11, the sum of two
+    principal submatrices.  By Cauchy interlacing each has lambda_min >=
+    lambda_min(Z'^H Z'), and by Weyl's inequality lambda_min(Z^H Z) >=
+    2 lambda_min(Z'^H Z'), so sigma_min(Z) >= sqrt(2) sigma_min(Z') > 6e-5
+    whenever the parent's check completed: no child of a certified parent, and
+    by induction no descendant, needs its own check.
     """
     shifted = gram.copy()
     shifted.flat[:: len(gram) + 1] -= _FULL_RANK_SHIFT
@@ -281,6 +298,9 @@ def partition_report(state: PureState, partition: Partition) -> InvariantReport:
     from :func:`four_qubit_lmn`, which makes 3 more reshapes and 3 more
     determinants.  The report's own reshape would do, but perfbench's pin
     ``ratio.reshape_per_partition > 1`` counts on those extra reshapes.
+    :func:`all_partitions_report` reshapes only its top layer and derives the
+    Gram matrices below it, so its values there agree with this one's to
+    round-off, not to the bit.
     The rank flag is decided by the first of these that settles it:
 
     1. an exactly zero column of the reshape, as fewer nonzero amplitudes than
@@ -299,41 +319,104 @@ def partition_report(state: PureState, partition: Partition) -> InvariantReport:
     E is reported as ``min(E, D)``: |det(Z^T g Z)| <= det(Z^H Z) by Cauchy-Binet
     and Cauchy-Schwarz (g is real orthogonal), so only round-off lifts E above D.
     """
-    return _report(state, partition, *_scaled_reshape(state, partition))
+    return _report(state, partition, *_scaled_reshape(state, partition))[0]
 
 
 def _report(
-    state: PureState, partition: Partition, z: np.ndarray | None, factor: float
-) -> InvariantReport:
-    """A report from the scaled reshape, or from None: all_partitions_report's support < l."""
-    zero_column = z is None or not z.any(axis=0).all()
-    square = partition.L == partition.l
-    bilinear_gram = None if zero_column or square else gram_bilinear(z, partition.m)
-    aux_name, aux_value = _aux_invariant(state, partition, bilinear_gram, factor)
-    if zero_column:
+    state: PureState,
+    partition: Partition,
+    z: np.ndarray | None,
+    factor: float,
+    pass_down: bool = False,
+) -> tuple[InvariantReport, tuple | None]:
+    """A report from the scaled reshape, or from None: all_partitions_report's
+    support < l; with the ``(gram, bilinear_gram, certified)`` that children
+    inherit, None on the zero-column exit.  ``pass_down`` forms the ε-Gram of a
+    square reshape too, for the children alone."""
+    if z is None or not z.any(axis=0).all():
+        aux_name, aux_value = _aux_invariant(state, partition, None, factor)
         return InvariantReport(
             partition, d_value=0.0, e_value=0.0, aux_name=aux_name,
             aux_value=aux_value, rank_deficient=True,
-        )
+        ), None
+    square = partition.L == partition.l
+    bilinear_gram = gram_bilinear(z, partition.m) if pass_down or not square else None
     gram = gram_hermitian(z)
+    grams = gram, bilinear_gram, _surely_full_rank(gram)
+    return _gram_report(state, partition, factor, grams, lambda: z), grams
+
+
+def _gram_report(
+    state: PureState, partition: Partition, factor: float, grams: tuple, scaled_reshape
+) -> InvariantReport:
+    """A report from ``(gram, bilinear_gram, certified)``; ``scaled_reshape()``
+    gives the SVD its reshape when the certificate is False."""
+    gram, bilinear_gram, certified = grams
     d_value = _d_value(gram, factor, partition)
+    aux_name, aux_value = _aux_invariant(state, partition, bilinear_gram, factor)
     return InvariantReport(
         partition=partition,
         d_value=d_value,
-        e_value=d_value if square
+        e_value=d_value if partition.L == partition.l
         else min(_e_value(bilinear_gram, factor, partition), d_value),
         aux_name=aux_name,
         aux_value=aux_value,
-        rank_deficient=not _surely_full_rank(gram)
-        and bool(np.linalg.matrix_rank(z) < partition.l),
+        rank_deficient=not certified
+        and bool(np.linalg.matrix_rank(scaled_reshape()) < partition.l),
     )
 
 
 def all_partitions_report(state: PureState) -> list[InvariantReport]:
-    """One :class:`InvariantReport` per admissible partition, from one unit-norm state."""
+    """One :class:`InvariantReport` per admissible partition, from one unit-norm state.
+
+    The partitions form a forest in which the parent of S is S plus its largest
+    unselected qubit k; that parent is admissible, as at N/2 it holds qubit N.
+    The roots are the top layer n = N // 2, and only they open a reshape and
+    multiply out both Gram matrices, as :func:`partition_report` does.  Moving
+    k out of the selection makes it the child's least significant row bit, so
+    the child takes both Gram matrices from its parent's in O(l**2)
+    (:func:`~tanglekit.plucker.partial_trace_grams`), and the rank
+    certificate too (see :func:`_surely_full_rank`): the Cholesky check runs
+    only where the parent's failed, and the SVD forms the reshape on demand.
+    The walk is depth first, so at most one chain of N/2 Gram pairs is alive.
+    At N = 4 that is 3 reshapes for the 3 roots, which are the L/M/N
+    partitions, and :func:`four_qubit_lmn` adds 9: 12 for 7 partitions.
+
+    A node passes Gram matrices down only if it formed them: the children of a
+    zero-column or support-skipped node open their own reshapes.  A zero column
+    of a child's reshape would be two zero columns of its parent's, so a
+    derived node never has one.  The top layer, the zero-column exits, the
+    nodes that open their own reshape, every rank flag and every aux value are
+    therefore :func:`partition_report`'s bit for bit; D and E of a derived
+    node are the same sums taken in another order, equal to round-off.
+    """
     scale, factor = _scale(state)
     unit = PureState(state.num_qubits, state.amplitudes / scale)
-    return [
-        _report(state, p, reshape(unit, p) if state.support >= p.l else None, factor)
-        for p in admissible_partitions(state.num_qubits)
-    ]
+    partitions = admissible_partitions(state.num_qubits)
+    by_selection = {p.selected: p for p in partitions}
+    reports = {}
+
+    def visit(partition: Partition, inherited: tuple | None) -> None:
+        if inherited is None:
+            z = reshape(unit, partition) if state.support >= partition.l else None
+            reports[partition], grams = _report(state, partition, z, factor, partition.n > 1)
+        else:
+            gram, bilinear_gram, certified = inherited
+            grams = gram, bilinear_gram, certified or _surely_full_rank(gram)
+            reports[partition] = _gram_report(
+                state, partition, factor, grams, lambda: reshape(unit, partition)
+            )
+        if partition.n == 1:
+            return
+        # Each child drops a qubit k of the trailing run ..., N - 1, N, the
+        # column bit with N - k selected qubits below it.
+        for low, k in enumerate(reversed(partition.selected)):
+            if k != partition.num_qubits - low:
+                break
+            child = by_selection[tuple(q for q in partition.selected if q != k)]
+            visit(child, grams and (*partial_trace_grams(*grams[:2], low), grams[2]))
+
+    for root in partitions:
+        if root.n == state.num_qubits // 2:
+            visit(root, None)
+    return [reports[p] for p in partitions]

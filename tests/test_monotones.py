@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tanglekit.bipartition import Partition, reshape, unreshape
+from tanglekit import monotones
 from tanglekit.local_ops import LocalOperator, apply_local, random_sl2, random_unitary
 from tanglekit.monotones import (
     _NORM_MAX,
@@ -369,11 +370,28 @@ def _sparse_state(n, seed):
     return PureState(n, amps)
 
 
+def _derived(state, part) -> bool:
+    """Whether all_partitions_report takes this partition's Gram matrices from
+    its parent's, S plus its largest unselected qubit: below the top layer, when
+    the parent formed them, i.e. its reshape has no zero column."""
+    n = state.num_qubits
+    if part.n == n // 2:
+        return False
+    parent = Partition(n, tuple(sorted(part.selected + (part.unselected[-1],))))
+    return bool(reshape(state, parent).any(axis=0).all())
+
+
+def _close(a, b) -> bool:
+    return abs(a - b) <= 1e-12 * abs(b)
+
+
 def test_report_values_match_monotone_calls():
     # The report and the single-value entry points share one kernel per value;
     # on GHZ, W, product and sparse states most reshapes have an exactly zero
     # column, which the report settles without a determinant (without a reshape
     # when the state has fewer nonzero amplitudes than l): to the same bits.
+    # Below the top layer the report derives both Gram matrices from its
+    # parent's, the same sums in another order: D and E agree to round-off.
     zero5 = PureState(5, np.zeros(32))
     states = [random_state(n, seed=200 + n) for n in range(2, 7)]
     states += [zero5] + [
@@ -382,14 +400,17 @@ def test_report_values_match_monotone_calls():
         for n in range(2, 9)
     ]
     states += [_sparse_state(n, seed=210 + 10 * n + i) for n in range(4, 9) for i in range(3)]
-    zero_column_pfaffians = 0
+    zero_column_pfaffians = derived = 0
     for state in states:
         for report in all_partitions_report(state):
             part = report.partition
-            assert _same_bits(report.d_value, d_monotone(state, part))
+            same = _close if _derived(state, part) else _same_bits
+            derived += same is _close
+            assert same(report.d_value, d_monotone(state, part))
             # The report caps E at D (see test_report_e_never_exceeds_d).
             e_value = min(e_monotone(state, part), d_monotone(state, part))
-            assert _same_bits(report.e_value, e_value)
+            assert same(report.e_value, e_value)
+            assert report.rank_deficient == partition_report(state, part).rank_deficient
             if report.aux_name == "pfaffian":
                 expected = five_qubit_pfaffian_monotone(state, part)
                 assert abs(16.0 * abs(report.aux_value) - expected) <= 1e-12 * expected
@@ -406,6 +427,7 @@ def test_report_values_match_monotone_calls():
     # GHZ-5 (support 2 < l), zero-5 (support 0) and W-5 (support 5, but no
     # amplitude with both selected qubits 1): ten n = 2 partitions each.
     assert zero_column_pfaffians >= 30
+    assert derived > 0
     for report in all_partitions_report(zero5):
         assert report.d_value == report.e_value == 0.0
         assert report.rank_deficient
@@ -486,6 +508,8 @@ def _same_report(a, b) -> bool:
 def test_all_partitions_report_scales_once_to_the_same_bits():
     # all_partitions_report divides the amplitudes by the norm once; each
     # partition_report divides its own reshape. Elementwise, that is one division.
+    # A derived partition (see _derived) has D and E to round-off, and every
+    # other field to the bit.
     states = [
         PureState(n, scale * random_state(n, seed=250 + n).amplitudes)
         for n in range(2, 9)
@@ -497,7 +521,104 @@ def test_all_partitions_report_scales_once_to_the_same_bits():
         parts = admissible_partitions(state.num_qubits)
         singles = [partition_report(state, p) for p in parts]
         for report, single in zip(all_partitions_report(state), singles, strict=True):
-            assert _same_report(report, single), (state.num_qubits, report.partition.label)
+            where = (state.num_qubits, report.partition.label)
+            if _derived(state, report.partition):
+                assert _close(report.d_value, single.d_value), where
+                assert _close(report.e_value, single.e_value), where
+                report = dataclasses.replace(
+                    report, d_value=single.d_value, e_value=single.e_value
+                )
+            assert _same_report(report, single), where
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls to these ``tanglekit.monotones`` names; the Cholesky
+    check's answers are kept in order under ``"answers"``."""
+    calls = {name: 0 for name in names} | {"answers": []}
+    for name in names:
+        original = getattr(monotones, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            result = _original(*args)
+            if _name == "_surely_full_rank":
+                calls["answers"].append(result)
+            return result
+
+        monkeypatch.setattr(monotones, name, counted)
+    return calls
+
+
+def _product_state(n, rng):
+    """A product of n Haar-random qubit states."""
+    amps = np.ones(1, dtype=complex)
+    for _ in range(n):
+        qubit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        amps = np.kron(amps, qubit / np.linalg.norm(qubit))
+    return amps
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_all_partitions_report_reshapes_only_the_top_layer(monkeypatch, n):
+    # The top layer n = N // 2 has 35 partitions at N = 7 and 8. Below it both
+    # Gram matrices come from the parent's, and so does a rank certificate:
+    # on a Haar state every root is certified and no child checks again. On a
+    # product state plus 1e-6 Haar noise no Cholesky check settles anything,
+    # so every partition runs one, and the SVD forms each derived reshape.
+    names = ("reshape", "gram_hermitian", "_surely_full_rank")
+    haar = random_state(n, seed=280 + n)
+    calls = _count_calls(monkeypatch, names)
+    assert not any(r.rank_deficient for r in all_partitions_report(haar))
+    assert calls == {"reshape": 35, "gram_hermitian": 35, "_surely_full_rank": 35,
+                     "answers": [True] * 35}
+    near = PureState(n, _product_state(n, np.random.default_rng(n)) + 1e-6 * haar.amplitudes)
+    total = len(admissible_partitions(n))
+    calls = _count_calls(monkeypatch, names)
+    assert not any(r.rank_deficient for r in all_partitions_report(near))
+    assert calls == {"reshape": total, "gram_hermitian": 35, "_surely_full_rank": total,
+                     "answers": [False] * total}
+
+
+def test_all_partitions_report_checks_children_of_uncertified_parents(monkeypatch):
+    # The square reshape on {3, 4} has rank 3, so its Cholesky check fails and
+    # its children {4} and {3} run their own, which certify them; {1, 4} and
+    # {2, 4} are certified, and their children {1} and {2} inherit that.
+    part = Partition(4, (3, 4))
+    rng = np.random.default_rng(290)
+    z = (rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))) @ (
+        rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    )
+    calls = _count_calls(monkeypatch, ("_surely_full_rank",))
+    reports = all_partitions_report(unreshape(z, part))
+    assert calls["answers"] == [True, True, False, True, True]
+    assert [r.partition.label for r in reports if r.rank_deficient] == ["3,4"]
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_all_partitions_report_matches_partition_report_to_round_off(n):
+    state = random_state(n, seed=300 + n)
+    for report in all_partitions_report(state):
+        single = partition_report(state, report.partition)
+        assert _close(report.d_value, single.d_value), report.partition.label
+        assert _close(report.e_value, single.e_value), report.partition.label
+        assert report.rank_deficient == single.rank_deficient
+
+
+@settings(max_examples=60, deadline=None, print_blob=True)
+@given(n=st.integers(4, 8), log_eps=st.floats(-16.0, -1.0), seed=st.integers(0, 2**32 - 1))
+def test_all_partitions_report_rank_flag_on_near_product_states(n, log_eps, seed):
+    # A product state plus eps * Haar noise: from eps = 1e-16, where every
+    # reshape is numerically rank 1, to 0.1, where every one is certified.
+    # The flags of derived partitions rest on the inherited certificate.
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    amps = _product_state(n, rng) + 10.0**log_eps * noise / np.linalg.norm(noise)
+    state = PureState(n, amps)
+    unit = PureState(n, amps / state.norm)  # the report's own scaled reshapes
+    for report in all_partitions_report(state):
+        part = report.partition
+        svd_says = bool(np.linalg.matrix_rank(reshape(unit, part)) < part.l)
+        assert report.rank_deficient == svd_says, part.label
 
 
 def test_full_rank_check_leaves_its_argument_alone():
