@@ -9,9 +9,9 @@ For a partition with ``L = 2**(N-n) >= l = 2**n`` and reshape ``Z``:
 
 When L = l, Gr(l, l) is a point with one Plücker coordinate, det Z, and
 ``|det(Z^T g Z)| = |det Z|**2 = det(Z^H Z)`` as ``|det g| = 1``: E = D exactly.
-Both are taken from Z itself, ``l**2 * |det Z|**(4/l)``, which carries kappa(Z)
-round-off where a determinant of the Hermitian Gram matrix would carry
-kappa(Z)**2 (:func:`_square_values`).
+That identity is exact in the math; the computed square E is D's value, taken
+from the Hermitian Gram matrix, so it carries that matrix's kappa(Z)**2
+round-off where ``|det Z|`` itself would carry kappa(Z).
 
 Both are homogeneous of degree 4 in the amplitudes, so unnormalized states are
 accepted.  Every reshape of a state has the state's Frobenius norm, so the
@@ -112,42 +112,18 @@ def _e_value(gram: np.ndarray, factor: float, partition: Partition) -> float:
     return _unscaled(factor, partition.l**2 * float(abs(det)) ** (2.0 / partition.l))
 
 
-def _square_values(
-    state: PureState, partition: Partition, z: np.ndarray, certified: bool, factor: float
-) -> tuple[float, bool]:
-    """D = E of a square partition, ``l**2 * |det Z|**(4/l)``, and its rank flag.
-
-    Where the Gram matrix of the scaled reshape ``z`` certified full rank
-    (:func:`_surely_full_rank`), one LU of ``z`` gives det Z with kappa(Z)
-    round-off.  Otherwise the singular values of the state's reshape decide,
-    with ``matrix_rank``'s own cut: at or below it the reshape is rank-deficient
-    and D = E = 0 (an LU of an exactly singular Z reads round-off, about 0.014
-    on a 64 x 64 Haar reshape with a duplicated column); above it
-    ``|det Z| = prod(sigma)``, summed in logs at unit norm.
-    """
-    l = partition.l
-    if certified:
-        return _unscaled(factor, l**2 * float(abs(np.linalg.det(z))) ** (4.0 / l)), False
-    sigma = np.linalg.svd(reshape(state, partition), compute_uv=False)
-    if sigma[-1] <= sigma[0] * l * np.finfo(float).eps:
-        return 0.0, True
-    log_det = np.log(sigma / _scale(state)[0]).sum()
-    return _unscaled(factor, l**2 * float(np.exp(4.0 / l * log_det))), False
-
-
 def d_monotone(state: PureState, partition: Partition) -> float:
     """LU monotone ``l**2 * det(Z^dag Z)**(2/l)``; in [0, 1] at unit norm."""
     z, factor = _scaled_reshape(state, partition)
-    gram = gram_hermitian(z)
-    if partition.L == partition.l:
-        return _square_values(state, partition, z, _surely_full_rank(gram), factor)[0]
-    return _d_value(gram, factor, partition)
+    return _d_value(gram_hermitian(z), factor, partition)
 
 
 def e_monotone(state: PureState, partition: Partition) -> float:
     """SLOCC monotone ``l**2 * |det(Z^T g Z)|**(2/l)``; at most D, and D if L = l.
 
-    On a square partition the value is D's, from Z itself (module notes).
+    On a square partition the value is D's, from the Hermitian Gram matrix: E = D
+    is exact in the math, but the computed value carries kappa(Z)**2 round-off,
+    so its SLOCC invariance holds only to that accuracy.
     """
     if partition.L == partition.l:
         return d_monotone(state, partition)
@@ -316,9 +292,8 @@ def _surely_full_rank(gram: np.ndarray) -> bool:
 def partition_report(state: PureState, partition: Partition) -> InvariantReport:
     """Monotone values, named auxiliary invariant, and rank flag for one partition.
 
-    The partition is reshaped once, twice where test 3 below runs, and each
-    Gram matrix formed at most once; a square reshape forms no ε-Gram and
-    reports E = D (module notes).
+    The partition is reshaped once and each Gram matrix formed at most
+    once; a square reshape forms no ε-Gram and reports E = D (module notes).
     The three 4-qubit L/M/N partitions are the exception: their aux value comes
     from :func:`four_qubit_lmn`, which makes 3 more reshapes and 3 more
     determinants.  The report's own reshape would do, but perfbench's pin
@@ -332,9 +307,7 @@ def partition_report(state: PureState, partition: Partition) -> InvariantReport:
        l always leave: every maximal minor then vanishes, so D = E = 0 exactly
        (Cauchy-Binet), the rank is below l, and no Gram matrix is formed;
     2. a Cholesky check of the Hermitian Gram matrix that certifies full rank;
-    3. the SVD rank of the state's own reshape, formed again (unscaled), so the
-       flag is ``matrix_rank``'s bit for bit; a square one flagged here reads
-       D = E = 0.
+    3. the SVD rank of the scaled reshape.
 
     On a zero column the values equal the determinant path's bit for bit: both
     Gram matrices get an exactly zero column, LU meets an exactly zero pivot
@@ -370,37 +343,26 @@ def _report(
     bilinear_gram = gram_bilinear(z, partition.m) if pass_down or not square else None
     gram = gram_hermitian(z)
     grams = gram, bilinear_gram, _surely_full_rank(gram)
-    return _gram_report(state, partition, factor, grams, z), grams
+    return _gram_report(state, partition, factor, grams, lambda: z), grams
 
 
 def _gram_report(
-    state: PureState,
-    partition: Partition,
-    factor: float,
-    grams: tuple,
-    z: np.ndarray | None = None,
+    state: PureState, partition: Partition, factor: float, grams: tuple, scaled_reshape
 ) -> InvariantReport:
-    """A report from ``(gram, bilinear_gram, certified)`` and, on a square
-    partition, the scaled reshape ``z``; where the certificate is False the SVD
-    takes the state's own reshape, as the rank flag is ``matrix_rank``'s."""
+    """A report from ``(gram, bilinear_gram, certified)``; ``scaled_reshape()``
+    gives the SVD its reshape when the certificate is False."""
     gram, bilinear_gram, certified = grams
-    if partition.L == partition.l:
-        d_value, rank_deficient = _square_values(state, partition, z, certified, factor)
-        e_value = d_value
-    else:
-        d_value = _d_value(gram, factor, partition)
-        e_value = min(_e_value(bilinear_gram, factor, partition), d_value)
-        rank_deficient = not certified and bool(
-            np.linalg.matrix_rank(reshape(state, partition)) < partition.l
-        )
+    d_value = _d_value(gram, factor, partition)
     aux_name, aux_value = _aux_invariant(state, partition, bilinear_gram, factor)
     return InvariantReport(
         partition=partition,
         d_value=d_value,
-        e_value=e_value,
+        e_value=d_value if partition.L == partition.l
+        else min(_e_value(bilinear_gram, factor, partition), d_value),
         aux_name=aux_name,
         aux_value=aux_value,
-        rank_deficient=rank_deficient,
+        rank_deficient=not certified
+        and bool(np.linalg.matrix_rank(scaled_reshape()) < partition.l),
     )
 
 
@@ -441,7 +403,9 @@ def all_partitions_report(state: PureState) -> list[InvariantReport]:
         else:
             gram, bilinear_gram, certified = inherited
             grams = gram, bilinear_gram, certified or _surely_full_rank(gram)
-            reports[partition] = _gram_report(state, partition, factor, grams)
+            reports[partition] = _gram_report(
+                state, partition, factor, grams, lambda: reshape(unit, partition)
+            )
         if partition.n == 1:
             return
         # Each child drops a qubit k of the trailing run ..., N - 1, N, the
