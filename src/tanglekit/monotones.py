@@ -38,7 +38,7 @@ import numpy as np
 
 from .bipartition import Partition, reshape
 from .linalg import pfaffian
-from .plucker import gram_bilinear, gram_hermitian, partial_trace_grams
+from .plucker import gram_bilinear, gram_hermitian
 from .states import PureState
 
 # The selections of the three square 4-qubit reshapes whose determinants are
@@ -366,6 +366,27 @@ def _gram_report(
     )
 
 
+def _partial_trace_grams(gram: np.ndarray, bilinear_gram: np.ndarray, low: int):
+    """Both Gram matrices after one selected qubit moves to the unselected side.
+
+    The qubit is column bit ``low`` (counted from the least significant) of the
+    parent reshape Z', and becomes the least significant row bit of the child
+    reshape Z, so ``Z[(r, b), a] = Z'[r, (a, b)]`` with b inserted at ``low``.
+    Then G = G'[(., 0), (., 0)] + G'[(., 1), (., 1)], a partial trace, and, as the
+    child's ε-form is the parent's times ``[[0, 1], [-1, 0]]`` on that bit,
+    B = B'[(., 0), (., 1)] - B'[(., 1), (., 0)].  O(l**2) work in place of an
+    O(L l**2) product.
+    """
+    size = len(gram)
+    high, l = size // (2 * 2**low), size // 2
+    g = gram.reshape(high, 2, 2**low, high, 2, 2**low)
+    b = bilinear_gram.reshape(g.shape)
+    return (
+        (g[:, 0, :, :, 0] + g[:, 1, :, :, 1]).reshape(l, l),
+        (b[:, 0, :, :, 1] - b[:, 1, :, :, 0]).reshape(l, l),
+    )
+
+
 def all_partitions_report(state: PureState) -> list[InvariantReport]:
     """One :class:`InvariantReport` per admissible partition, from one unit-norm state.
 
@@ -375,9 +396,9 @@ def all_partitions_report(state: PureState) -> list[InvariantReport]:
     multiply out both Gram matrices, as :func:`partition_report` does.  Moving
     k out of the selection makes it the child's least significant row bit, so
     the child takes both Gram matrices from its parent's in O(l**2)
-    (:func:`~tanglekit.plucker.partial_trace_grams`), and the rank
-    certificate too (see :func:`_surely_full_rank`): the Cholesky check runs
-    only where the parent's failed, and the SVD forms the reshape on demand.
+    (:func:`_partial_trace_grams`), and the rank certificate too (see
+    :func:`_surely_full_rank`): the Cholesky check runs only where the
+    parent's failed, and the SVD forms the reshape on demand.
     The walk is depth first, so at most one chain of N/2 Gram pairs is alive.
     At N = 4 that is 3 reshapes for the 3 roots, which are the L/M/N
     partitions, and :func:`four_qubit_lmn` adds 9: 12 for 7 partitions.
@@ -398,8 +419,15 @@ def all_partitions_report(state: PureState) -> list[InvariantReport]:
 
     def visit(partition: Partition, inherited: tuple | None) -> None:
         if inherited is None:
-            z = reshape(unit, partition) if state.support >= partition.l else None
-            reports[partition], grams = _report(state, partition, z, factor, partition.n > 1)
+            # The reshape is not bound here, so it is freed once _report
+            # returns and only the Gram chain stays alive down the subtree.
+            reports[partition], grams = _report(
+                state,
+                partition,
+                reshape(unit, partition) if state.support >= partition.l else None,
+                factor,
+                partition.n > 1,
+            )
         else:
             gram, bilinear_gram, certified = inherited
             grams = gram, bilinear_gram, certified or _surely_full_rank(gram)
@@ -414,7 +442,7 @@ def all_partitions_report(state: PureState) -> list[InvariantReport]:
             if k != partition.num_qubits - low:
                 break
             child = by_selection[tuple(q for q in partition.selected if q != k)]
-            visit(child, grams and (*partial_trace_grams(*grams[:2], low), grams[2]))
+            visit(child, grams and (*_partial_trace_grams(*grams[:2], low), grams[2]))
 
     for root in partitions:
         if root.n == state.num_qubits // 2:

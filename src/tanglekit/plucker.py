@@ -63,24 +63,3 @@ def gram_bilinear(z, m: int) -> np.ndarray:
     half = len(z) // 2
     x = z[:half].T @ epsilon_apply(m - 1, z[half:])
     return x + x.T if m % 2 == 0 else x - x.T
-
-
-def partial_trace_grams(gram, bilinear_gram, low: int):
-    """Both Gram matrices after one selected qubit moves to the unselected side.
-
-    The qubit is column bit ``low`` (counted from the least significant) of the
-    parent reshape Z', and becomes the least significant row bit of the child
-    reshape Z, so ``Z[(r, b), a] = Z'[r, (a, b)]`` with b inserted at ``low``.
-    Then G = G'[(., 0), (., 0)] + G'[(., 1), (., 1)], a partial trace, and, as the
-    child's ε-form is the parent's times ``[[0, 1], [-1, 0]]`` on that bit,
-    B = B'[(., 0), (., 1)] - B'[(., 1), (., 0)].  O(l**2) work in place of an
-    O(L l**2) product.
-    """
-    size = len(gram)
-    high, l = size // (2 * 2**low), size // 2
-    g = gram.reshape(high, 2, 2**low, high, 2, 2**low)
-    b = bilinear_gram.reshape(g.shape)
-    return (
-        (g[:, 0, :, :, 0] + g[:, 1, :, :, 1]).reshape(l, l),
-        (b[:, 0, :, :, 1] - b[:, 1, :, :, 0]).reshape(l, l),
-    )

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from tanglekit.monotones import (
     _NORM_MAX,
     _NORM_MIN,
     FOUR_QUBIT_LMN_SIGNS,
+    _partial_trace_grams,
     _surely_full_rank,
     admissible_partitions,
     all_partitions_report,
@@ -529,6 +531,28 @@ def test_all_partitions_report_scales_once_to_the_same_bits():
                     report, d_value=single.d_value, e_value=single.e_value
                 )
             assert _same_report(report, single), where
+
+
+def test_partial_trace_grams_match_the_child_reshape():
+    # Dropping a selected qubit k whose larger qubits are all selected makes k
+    # the lowest row bit of the child's reshape; low counts those larger qubits.
+    state = random_state(7, seed=310)
+    children = 0
+    for n in (2, 3):
+        for selected in itertools.combinations(range(1, 8), n):
+            parent = Partition(7, selected)
+            z = reshape(state, parent)
+            grams = gram_hermitian(z), gram_bilinear(z, parent.m)
+            for low, k in enumerate(reversed(selected)):
+                if k != 7 - low:
+                    break
+                child = Partition(7, tuple(q for q in selected if q != k))
+                gram, bilinear = _partial_trace_grams(*grams, low)
+                z_child = reshape(state, child)
+                assert np.allclose(gram, gram_hermitian(z_child), rtol=0, atol=1e-15)
+                assert np.allclose(bilinear, gram_bilinear(z_child, child.m), rtol=0, atol=1e-15)
+                children += 1
+    assert children == 6 + 1 + 15 + 5 + 1
 
 
 def _count_calls(monkeypatch, names):

@@ -7,7 +7,6 @@ from tanglekit.bipartition import Partition, epsilon_matrix, reshape
 from tanglekit.plucker import (
     gram_bilinear,
     gram_hermitian,
-    partial_trace_grams,
     plucker_coordinates,
     plucker_relation_residual,
 )
@@ -196,25 +195,3 @@ def test_gram_bilinear_rejects_a_vector():
     # epsilon_apply accepts a vector of 2**m entries; only this guard refuses it.
     with pytest.raises(ValueError, match="expected a matrix"):
         gram_bilinear(np.zeros(8), 3)
-
-
-def test_partial_trace_grams_match_the_child_reshape():
-    # Dropping a selected qubit k whose larger qubits are all selected makes k
-    # the lowest row bit of the child's reshape; low counts those larger qubits.
-    state = random_state(7, seed=310)
-    children = 0
-    for n in (2, 3):
-        for selected in itertools.combinations(range(1, 8), n):
-            parent = Partition(7, selected)
-            z = reshape(state, parent)
-            grams = gram_hermitian(z), gram_bilinear(z, parent.m)
-            for low, k in enumerate(reversed(selected)):
-                if k != 7 - low:
-                    break
-                child = Partition(7, tuple(q for q in selected if q != k))
-                gram, bilinear = partial_trace_grams(*grams, low)
-                z_child = reshape(state, child)
-                assert np.allclose(gram, gram_hermitian(z_child), rtol=0, atol=1e-15)
-                assert np.allclose(bilinear, gram_bilinear(z_child, child.m), rtol=0, atol=1e-15)
-                children += 1
-    assert children == 6 + 1 + 15 + 5 + 1
