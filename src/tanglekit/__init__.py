@@ -21,6 +21,7 @@ from .local_ops import (
     LocalOperator,
     PovmPair,
     apply_local,
+    branch_average,
     monotonicity_trial,
     povm_branches,
     random_povm_pair,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, reduce
 
 import numpy as np
@@ -34,10 +34,19 @@ EPSILON_2X2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 @dataclass(frozen=True)
 class Partition:
-    """An ordered subset of qubit positions inducing the L x l reshape."""
+    """An ordered subset of qubit positions inducing the L x l reshape.
+
+    ``n`` qubits are selected and ``m`` are not, so ``L = 2**m`` and
+    ``l = 2**n``.  These four are set once per instance, as the monotones read
+    them on every call; equality, hash and repr see only the two fields above.
+    """
 
     num_qubits: int
     selected: tuple[int, ...]
+    n: int = field(init=False, repr=False, compare=False)
+    m: int = field(init=False, repr=False, compare=False)
+    L: int = field(init=False, repr=False, compare=False)
+    l: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -62,23 +71,9 @@ class Partition:
                 f"at most N/2 qubits may be selected (n={len(sel)}, N={n_total}); "
                 f"use the complementary subset instead"
             )
-
-    @property
-    def n(self) -> int:
-        return len(self.selected)
-
-    @property
-    def m(self) -> int:
-        """Number of unselected qubits."""
-        return self.num_qubits - self.n
-
-    @property
-    def L(self) -> int:
-        return 2**self.m
-
-    @property
-    def l(self) -> int:
-        return 2**self.n
+        n, m = len(sel), n_total - len(sel)
+        for name, value in (("n", n), ("m", m), ("L", 2**m), ("l", 2**n)):
+            object.__setattr__(self, name, value)
 
     @property
     def unselected(self) -> tuple[int, ...]:
@@ -155,7 +150,11 @@ def epsilon_apply(m: int, v) -> np.ndarray:
     return (signs if vec.ndim == 1 else signs[:, None]) * vec[::-1]
 
 
+@cache
 def epsilon_matrix(m: int) -> np.ndarray:
-    """Materialized 2**m x 2**m matrix of the ε-form (tests and oracles only)."""
-    return reduce(np.kron, [EPSILON_2X2] * m, np.array([[1.0]]))
+    """Materialized 2**m x 2**m matrix of the ε-form (tests and oracles only),
+    built once per m and read-only, like :func:`parity_signs`."""
+    matrix = reduce(np.kron, [EPSILON_2X2] * m, np.array([[1.0]]))
+    matrix.flags.writeable = False
+    return matrix
 

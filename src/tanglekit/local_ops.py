@@ -145,6 +145,25 @@ def povm_branches(
     return branches
 
 
+def branch_average(
+    branches: Sequence[tuple[float, PureState]],
+    fn: Callable[[PureState, Partition], float],
+    partition: Partition,
+) -> float:
+    """The probability-averaged value of the monotone ``fn`` after a measurement
+    whose unnormalized branches ``(p, psi)`` are :func:`povm_branches`' output.
+
+    By degree-4 homogeneity a branch of weight p adds ``fn(psi) / p``, or zero
+    if p is below :data:`BRANCH_PROB_FLOOR`; the terms are summed in branch order.
+    """
+    after = 0.0
+    for prob, psi in branches:
+        if prob < BRANCH_PROB_FLOOR:
+            continue
+        after += fn(psi, partition) / prob
+    return after
+
+
 def monotonicity_trial(
     state: PureState,
     qubit: int,
@@ -156,16 +175,10 @@ def monotonicity_trial(
     for the monotone ``"d"`` or ``"e"``.
 
     For an entanglement monotone the average never exceeds the pre-measurement
-    value.  By degree-4 homogeneity a branch of weight p adds ``fn(psi) / p``,
-    or zero if p is below :data:`BRANCH_PROB_FLOOR`.
+    value; the average is :func:`branch_average`'s.
     """
     if monotone not in _MONOTONES:
         raise ValueError(f"unknown monotone {monotone!r}; choose from {tuple(_MONOTONES)}")
     fn = _MONOTONES[monotone]
     before = fn(state, partition)
-    after = 0.0
-    for prob, psi in povm_branches(state, qubit, povm):
-        if prob < BRANCH_PROB_FLOOR:
-            continue
-        after += fn(psi, partition) / prob
-    return before, after
+    return before, branch_average(povm_branches(state, qubit, povm), fn, partition)

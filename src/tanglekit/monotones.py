@@ -49,8 +49,10 @@ FOUR_QUBIT_LMN_SIGNS = (1.0, -1.0, 1.0)
 # Diagonal shift of the unit-trace Gram matrix in the full-rank check; see
 # _surely_full_rank for why it exceeds the round-off of any accepted size.
 _FULL_RANK_SHIFT = 1e-8
+# The smallest normal float, which no nonzero value may fall below.
+_TINY = float(np.finfo(float).tiny)
 # The norms |c| whose |c|**4 is a normal float (max**0.25 itself overflows).
-_NORM_MIN = float(np.finfo(float).tiny ** 0.25)
+_NORM_MIN = _TINY**0.25
 _NORM_MAX = float(np.nextafter(np.finfo(float).max ** 0.25, 0.0))
 
 
@@ -90,7 +92,7 @@ def _scaled_reshape(state: PureState, partition: Partition) -> tuple[np.ndarray,
 def _unscaled(factor: float, unit_value):
     """``factor * unit_value``; ValueError if a nonzero value ends subnormal or 0."""
     value = factor * unit_value
-    if unit_value and abs(value) < np.finfo(float).tiny:
+    if unit_value and abs(value) < _TINY:
         raise ValueError(f"result {abs(value):.3e} is below the normal float range")
     return value
 

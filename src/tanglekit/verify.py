@@ -20,8 +20,9 @@ from .linalg import maximal_minors, pfaffian
 from .local_ops import (
     LocalOperator,
     apply_local,
+    branch_average,
     ginibre,
-    monotonicity_trial,
+    povm_branches,
     random_povm_pair,
     random_sl2,
     random_unitary,
@@ -279,16 +280,18 @@ def check_permutation_four_qubit(trials: int, rng: np.random.Generator):
 def check_povm_monotonicity(trials: int, rng: np.random.Generator):
     # One state per register size per trial; the residual is after - before,
     # so a monotone that strictly decreases on average gives a negative one.
+    # Both branches are formed once per draw and serve every partition and
+    # monotone, with the values of monotonicity_trial.
     for _ in range(trials):
         residuals = []
         for n_qubits in (2, 3, 4):
             state = random_state(n_qubits, seed=rng)
             qubit = int(rng.integers(1, n_qubits + 1))
-            povm = random_povm_pair(rng)
+            branches = povm_branches(state, qubit, random_povm_pair(rng))
             for part in admissible_partitions(n_qubits):
-                for mono in ("d", "e"):
-                    before, after = monotonicity_trial(state, qubit, povm, mono, part)
-                    residuals.append(after - before)
+                for mono in (d_monotone, e_monotone):
+                    before = mono(state, part)
+                    residuals.append(branch_average(branches, mono, part) - before)
         yield residuals
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -38,8 +39,20 @@ def _cvec(rng, n):
 def test_partition_properties():
     p = Partition(5, (4, 5))
     assert (p.n, p.m, p.L, p.l) == (2, 3, 8, 4)
+    assert all(type(value) is int for value in (p.n, p.m, p.L, p.l))
     assert p.unselected == (1, 2, 3)
     assert p.label == "4,5"
+    # The geometry is set once per instance: equality, hash and repr still see
+    # only the register size and the selection, and replace recomputes it.
+    assert p == Partition(5, (4, 5)) and p != Partition(6, (4, 5))
+    assert hash(p) == hash(Partition(5, (4, 5))) == hash((5, (4, 5)))
+    assert repr(p) == "Partition(num_qubits=5, selected=(4, 5))"
+    q = dataclasses.replace(p, selected=(2,))
+    assert q == Partition(5, (2,))
+    assert (q.n, q.m, q.L, q.l, q.unselected) == (1, 4, 16, 2, (1, 3, 4, 5))
+    with pytest.raises(AttributeError):
+        p.l = 8
+    assert p.l == 4
 
 
 def test_partition_validation():
@@ -143,6 +156,12 @@ def test_epsilon_apply_single_factor():
 
 def test_epsilon_matrix_explicit_forms():
     assert np.array_equal(epsilon_matrix(2), G4)
+    assert np.array_equal(epsilon_matrix(3), G8)
+    # one read-only copy per m, as for parity_signs
+    table = epsilon_matrix(3)
+    assert epsilon_matrix(3) is table
+    with pytest.raises(ValueError):
+        table[0, 7] = 7.0
     assert np.array_equal(epsilon_matrix(3), G8)
 
 

@@ -35,6 +35,10 @@ def test_no_module_imports_a_private_sibling_name():
 
 # Paper quantities kept as public API although no module in the package calls them.
 PAPER_QUANTITIES = ("concurrence_squared", "three_tangle")
+# Kept for the benchmark: `verify` forms each draw's POVM branches once and no
+# longer calls monotonicity_trial, but perfbench's tracer test calls it and
+# counts its three monotone calls.
+BENCHMARK_ENTRY_POINTS = ("monotonicity_trial",)
 
 
 def _orphan_names(package_dir: Path) -> list[str]:
@@ -77,7 +81,10 @@ def _orphan_names(package_dir: Path) -> list[str]:
 
 def test_every_public_name_has_a_caller():
     # Exactly the exempt names: one that is deleted or gains a caller fails here.
-    assert _orphan_names(PACKAGE_DIR) == [f"monotones.py: {name}" for name in PAPER_QUANTITIES]
+    assert _orphan_names(PACKAGE_DIR) == [
+        *(f"local_ops.py: {name}" for name in BENCHMARK_ENTRY_POINTS),
+        *(f"monotones.py: {name}" for name in PAPER_QUANTITIES),
+    ]
 
 
 # Exception types whose handler would catch a ValueError; a bare ``except`` does too.

@@ -7,7 +7,16 @@ import pytest
 import tanglekit.cli as cli
 import tanglekit.verify as verify
 from tanglekit.bipartition import epsilon_apply
-from tanglekit.verify import SUITE_NAMES, check_lmn_sum, check_slocc_invariance, run_suite
+from tanglekit.local_ops import monotonicity_trial, random_povm_pair
+from tanglekit.monotones import admissible_partitions
+from tanglekit.states import random_state
+from tanglekit.verify import (
+    SUITE_NAMES,
+    check_lmn_sum,
+    check_povm_monotonicity,
+    check_slocc_invariance,
+    run_suite,
+)
 
 NAMED_SUITES = [name for name in SUITE_NAMES if name != "all"]
 
@@ -53,6 +62,32 @@ def test_a_property_draws_the_same_inputs_in_every_suite(seed):
         results = run_suite(suite, trials=7, seed=seed)
         names = {r.name for r in results}
         assert results == [r for r in everything if r.name in names], suite
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_povm_monotonicity_matches_monotonicity_trial_bit_for_bit(seed):
+    # The check forms each draw's two branches once for all partitions and
+    # both monotones. Replayed draw for draw through monotonicity_trial, which
+    # forms them per call, every residual and so the worst is the same float.
+    trials = 8
+    rng = np.random.default_rng(seed)
+    replay = []
+    for _ in range(trials):
+        residuals = []
+        for n_qubits in (2, 3, 4):
+            state = random_state(n_qubits, seed=rng)
+            qubit = int(rng.integers(1, n_qubits + 1))
+            povm = random_povm_pair(rng)
+            for part in admissible_partitions(n_qubits):
+                for mono in ("d", "e"):
+                    before, after = monotonicity_trial(state, qubit, povm, mono, part)
+                    residuals.append(after - before)
+        replay.append(residuals)
+    trial_residuals = check_povm_monotonicity.__wrapped__
+    assert list(trial_residuals(trials, np.random.default_rng(seed))) == replay
+    result = check_povm_monotonicity(trials, np.random.default_rng(seed))
+    assert result.trials == trials
+    assert result.max_residual == max(max(residuals) for residuals in replay)
 
 
 def test_unknown_suite_rejected():
