@@ -21,6 +21,8 @@ divides its reshape (or the amplitudes) by that norm, to keep the determinants
 well conditioned; nothing else rescales.  Every value is formed on the
 unit-norm input, where it is at most about 1, and leaves through
 :func:`_unscaled`, times the factor (its square root for ``four_qubit_h``).
+A report's rank flag, where its SVD decides, ranks the state's own reshape, so
+that it is ``np.linalg.matrix_rank``'s verdict bit for bit.
 
 :func:`all_partitions_report` reshapes only the top layer n = N // 2.  Below
 it each partition takes both Gram matrices from those of the partition with one
@@ -294,8 +296,9 @@ def _surely_full_rank(gram: np.ndarray) -> bool:
 def partition_report(state: PureState, partition: Partition) -> InvariantReport:
     """Monotone values, named auxiliary invariant, and rank flag for one partition.
 
-    The partition is reshaped once and each Gram matrix formed at most
-    once; a square reshape forms no ε-Gram and reports E = D (module notes).
+    The partition is reshaped once, twice where test 3 below runs, and each
+    Gram matrix formed at most once; a square reshape forms no ε-Gram and
+    reports E = D (module notes).
     The three 4-qubit L/M/N partitions are the exception: their aux value comes
     from :func:`four_qubit_lmn`, which makes 3 more reshapes and 3 more
     determinants.  The report's own reshape would do, but perfbench's pin
@@ -309,7 +312,8 @@ def partition_report(state: PureState, partition: Partition) -> InvariantReport:
        l always leave: every maximal minor then vanishes, so D = E = 0 exactly
        (Cauchy-Binet), the rank is below l, and no Gram matrix is formed;
     2. a Cholesky check of the Hermitian Gram matrix that certifies full rank;
-    3. the SVD rank of the scaled reshape.
+    3. the SVD rank of the state's own reshape, formed again without the
+       scaling, so the flag is ``matrix_rank``'s verdict bit for bit.
 
     On a zero column the values equal the determinant path's bit for bit: both
     Gram matrices get an exactly zero column, LU meets an exactly zero pivot
@@ -321,7 +325,9 @@ def partition_report(state: PureState, partition: Partition) -> InvariantReport:
     E is reported as ``min(E, D)``: |det(Z^T g Z)| <= det(Z^H Z) by Cauchy-Binet
     and Cauchy-Schwarz (g is real orthogonal), so only round-off lifts E above D.
     """
-    return _report(state, partition, *_scaled_reshape(state, partition))[0]
+    return _report(
+        state, partition, *_scaled_reshape(state, partition), partition.L > partition.l
+    )[0]
 
 
 def _report(
@@ -329,31 +335,24 @@ def _report(
     partition: Partition,
     z: np.ndarray | None,
     factor: float,
-    pass_down: bool = False,
+    bilinear: bool,
+    grams: tuple | None = None,
 ) -> tuple[InvariantReport, tuple | None]:
-    """A report from the scaled reshape, or from None: all_partitions_report's
-    support < l; with the ``(gram, bilinear_gram, certified)`` that children
-    inherit, None on the zero-column exit.  ``pass_down`` forms the ε-Gram of a
-    square reshape too, for the children alone."""
-    if z is None or not z.any(axis=0).all():
-        aux_name, aux_value = _aux_invariant(state, partition, None, factor)
-        return InvariantReport(
-            partition, d_value=0.0, e_value=0.0, aux_name=aux_name,
-            aux_value=aux_value, rank_deficient=True,
-        ), None
-    square = partition.L == partition.l
-    bilinear_gram = gram_bilinear(z, partition.m) if pass_down or not square else None
-    gram = gram_hermitian(z)
-    grams = gram, bilinear_gram, _surely_full_rank(gram)
-    return _gram_report(state, partition, factor, grams, lambda: z), grams
-
-
-def _gram_report(
-    state: PureState, partition: Partition, factor: float, grams: tuple, scaled_reshape
-) -> InvariantReport:
-    """A report from ``(gram, bilinear_gram, certified)``; ``scaled_reshape()``
-    gives the SVD its reshape when the certificate is False."""
+    """A report from the inherited ``grams``, ``(gram, bilinear_gram, certified)``,
+    or else from the scaled reshape ``z``, whose Gram matrices it forms (the
+    ε-Gram only if ``bilinear``); ``z`` is None where all_partitions_report
+    skips a support below l.  Returns the report and the ``grams`` that
+    children inherit, None on the zero-column exit."""
+    if grams is None:
+        if z is None or not z.any(axis=0).all():
+            aux_name, aux_value = _aux_invariant(state, partition, None, factor)
+            return InvariantReport(
+                partition, d_value=0.0, e_value=0.0, aux_name=aux_name,
+                aux_value=aux_value, rank_deficient=True,
+            ), None
+        grams = gram_hermitian(z), gram_bilinear(z, partition.m) if bilinear else None, False
     gram, bilinear_gram, certified = grams
+    certified = certified or _surely_full_rank(gram)
     d_value = _d_value(gram, factor, partition)
     aux_name, aux_value = _aux_invariant(state, partition, bilinear_gram, factor)
     return InvariantReport(
@@ -364,8 +363,8 @@ def _gram_report(
         aux_name=aux_name,
         aux_value=aux_value,
         rank_deficient=not certified
-        and bool(np.linalg.matrix_rank(scaled_reshape()) < partition.l),
-    )
+        and bool(np.linalg.matrix_rank(reshape(state, partition)) < partition.l),
+    ), (gram, bilinear_gram, certified)
 
 
 def _partial_trace_grams(gram: np.ndarray, bilinear_gram: np.ndarray, low: int):
@@ -400,7 +399,7 @@ def all_partitions_report(state: PureState) -> list[InvariantReport]:
     the child takes both Gram matrices from its parent's in O(l**2)
     (:func:`_partial_trace_grams`), and the rank certificate too (see
     :func:`_surely_full_rank`): the Cholesky check runs only where the
-    parent's failed, and the SVD forms the reshape on demand.
+    parent's failed, and the SVD forms the state's own reshape where it runs.
     The walk is depth first, so at most one chain of N/2 Gram pairs is alive.
     At N = 4 that is 3 reshapes for the 3 roots, which are the L/M/N
     partitions, and :func:`four_qubit_lmn` adds 9: 12 for 7 partitions.
@@ -420,22 +419,17 @@ def all_partitions_report(state: PureState) -> list[InvariantReport]:
     reports = {}
 
     def visit(partition: Partition, inherited: tuple | None) -> None:
-        if inherited is None:
-            # The reshape is not bound here, so it is freed once _report
-            # returns and only the Gram chain stays alive down the subtree.
-            reports[partition], grams = _report(
-                state,
-                partition,
-                reshape(unit, partition) if state.support >= partition.l else None,
-                factor,
-                partition.n > 1,
-            )
-        else:
-            gram, bilinear_gram, certified = inherited
-            grams = gram, bilinear_gram, certified or _surely_full_rank(gram)
-            reports[partition] = _gram_report(
-                state, partition, factor, grams, lambda: reshape(unit, partition)
-            )
+        # A node with nothing to inherit opens its reshape here, unbound, so it
+        # is freed once _report returns and only the Gram chain stays alive
+        # down the subtree; its ε-Gram serves its children or its own E.
+        reports[partition], grams = _report(
+            state,
+            partition,
+            None if inherited or state.support < partition.l else reshape(unit, partition),
+            factor,
+            partition.n > 1 or partition.L > partition.l,
+            inherited,
+        )
         if partition.n == 1:
             return
         # Each child drops a qubit k of the trailing run ..., N - 1, N, the
