@@ -240,7 +240,7 @@ def _aux_invariant(
     if n_total == 4 and partition.selected in FOUR_QUBIT_LMN_SELECTIONS:
         idx = FOUR_QUBIT_LMN_SELECTIONS.index(partition.selected)
         return "LMN"[idx], four_qubit_lmn(state)[idx]
-    if n_total == 5 and partition.n == 2:  # None on a zero column: see partition_report
+    if n_total == 5 and partition.n == 2:  # None on a zero column: see _grams
         unit = 0j if bilinear_gram is None else pfaffian(bilinear_gram)
         return "pfaffian", _unscaled(factor, unit)
     return None, None
@@ -297,8 +297,9 @@ def partition_report(state: PureState, partition: Partition) -> InvariantReport:
     """Monotone values, named auxiliary invariant, and rank flag for one partition.
 
     The partition is reshaped once, twice where test 3 below runs, and each
-    Gram matrix formed at most once; a square reshape forms no ε-Gram and
-    reports E = D (module notes).
+    Gram matrix formed at most once: :func:`_grams` opens the reshape, a
+    square one forming no ε-Gram (E = D, module notes), and :func:`_report`
+    evaluates the pair.
     The three 4-qubit L/M/N partitions are the exception: their aux value comes
     from :func:`four_qubit_lmn`, which makes 3 more reshapes and 3 more
     determinants.  The report's own reshape would do, but perfbench's pin
@@ -325,46 +326,45 @@ def partition_report(state: PureState, partition: Partition) -> InvariantReport:
     E is reported as ``min(E, D)``: |det(Z^T g Z)| <= det(Z^H Z) by Cauchy-Binet
     and Cauchy-Schwarz (g is real orthogonal), so only round-off lifts E above D.
     """
-    return _report(
-        state, partition, *_scaled_reshape(state, partition), partition.L > partition.l
-    )[0]
+    z, factor = _scaled_reshape(state, partition)
+    grams = _grams(z, partition, partition.L > partition.l)
+    return _report(state, partition, factor, grams)[0]
+
+
+def _grams(z: np.ndarray, partition: Partition, bilinear: bool) -> tuple | None:
+    """Open the scaled reshape ``z`` into ``(gram, bilinear_gram, False)``, the
+    ε-Gram formed only if ``bilinear``; None if ``z`` has an exactly zero column
+    (test 1 of :func:`partition_report`).  False: no rank certificate yet."""
+    if not z.any(axis=0).all():
+        return None
+    return gram_hermitian(z), gram_bilinear(z, partition.m) if bilinear else None, False
 
 
 def _report(
-    state: PureState,
-    partition: Partition,
-    z: np.ndarray | None,
-    factor: float,
-    bilinear: bool,
-    grams: tuple | None = None,
+    state: PureState, partition: Partition, factor: float, grams: tuple | None
 ) -> tuple[InvariantReport, tuple | None]:
-    """A report from the inherited ``grams``, ``(gram, bilinear_gram, certified)``,
-    or else from the scaled reshape ``z``, whose Gram matrices it forms (the
-    ε-Gram only if ``bilinear``); ``z`` is None where all_partitions_report
-    skips a support below l.  Returns the report and the ``grams`` that
-    children inherit, None on the zero-column exit."""
+    """The report from a Gram triple ``(gram, bilinear_gram, certified)``, opened
+    by :func:`_grams` or inherited, or the zero-column report where ``grams`` is
+    None.  Returns the report and the triple with its certificate settled, for
+    children to inherit; None on the zero-column exit."""
     if grams is None:
-        if z is None or not z.any(axis=0).all():
-            aux_name, aux_value = _aux_invariant(state, partition, None, factor)
-            return InvariantReport(
-                partition, d_value=0.0, e_value=0.0, aux_name=aux_name,
-                aux_value=aux_value, rank_deficient=True,
-            ), None
-        grams = gram_hermitian(z), gram_bilinear(z, partition.m) if bilinear else None, False
-    gram, bilinear_gram, certified = grams
-    certified = certified or _surely_full_rank(gram)
-    d_value = _d_value(gram, factor, partition)
+        d_value = e_value = 0.0
+        bilinear_gram, rank_deficient = None, True
+    else:
+        gram, bilinear_gram, certified = grams
+        certified = certified or _surely_full_rank(gram)
+        grams = gram, bilinear_gram, certified
+        d_value = _d_value(gram, factor, partition)
+        e_value = d_value if partition.L == partition.l else min(
+            _e_value(bilinear_gram, factor, partition), d_value
+        )
+        rank_deficient = not certified and bool(
+            np.linalg.matrix_rank(reshape(state, partition)) < partition.l
+        )
     aux_name, aux_value = _aux_invariant(state, partition, bilinear_gram, factor)
     return InvariantReport(
-        partition=partition,
-        d_value=d_value,
-        e_value=d_value if partition.L == partition.l
-        else min(_e_value(bilinear_gram, factor, partition), d_value),
-        aux_name=aux_name,
-        aux_value=aux_value,
-        rank_deficient=not certified
-        and bool(np.linalg.matrix_rank(reshape(state, partition)) < partition.l),
-    ), (gram, bilinear_gram, certified)
+        partition, d_value, e_value, aux_name, aux_value, rank_deficient
+    ), grams
 
 
 def _partial_trace_grams(gram: np.ndarray, bilinear_gram: np.ndarray, low: int):
@@ -393,10 +393,10 @@ def all_partitions_report(state: PureState) -> list[InvariantReport]:
 
     The partitions form a forest in which the parent of S is S plus its largest
     unselected qubit k; that parent is admissible, as at N/2 it holds qubit N.
-    The roots are the top layer n = N // 2, and only they open a reshape and
-    multiply out both Gram matrices, as :func:`partition_report` does.  Moving
-    k out of the selection makes it the child's least significant row bit, so
-    the child takes both Gram matrices from its parent's in O(l**2)
+    The roots are the top layer n = N // 2, and only they open a reshape into
+    both Gram matrices (:func:`_grams`), as :func:`partition_report` does.
+    Moving k out of the selection makes it the child's least significant row
+    bit, so the child takes both Gram matrices from its parent's in O(l**2)
     (:func:`_partial_trace_grams`), and the rank certificate too (see
     :func:`_surely_full_rank`): the Cholesky check runs only where the
     parent's failed, and the SVD forms the state's own reshape where it runs.
@@ -405,12 +405,14 @@ def all_partitions_report(state: PureState) -> list[InvariantReport]:
     partitions, and :func:`four_qubit_lmn` adds 9: 12 for 7 partitions.
 
     A node passes Gram matrices down only if it formed them: the children of a
-    zero-column or support-skipped node open their own reshapes.  A zero column
-    of a child's reshape would be two zero columns of its parent's, so a
-    derived node never has one.  The top layer, the zero-column exits, the
-    nodes that open their own reshape, every rank flag and every aux value are
-    therefore :func:`partition_report`'s bit for bit; D and E of a derived
-    node are the same sums taken in another order, equal to round-off.
+    zero-column node, or of one left unopened as the state has fewer nonzero
+    amplitudes than l, open their own reshapes; :func:`_report` gives both
+    nodes the zero-column report.  A zero column of a child's reshape would be
+    two zero columns of its parent's, so a derived node never has one.  The
+    top layer, the zero-column exits, the nodes that open their own reshape,
+    every rank flag and every aux value are therefore
+    :func:`partition_report`'s bit for bit; D and E of a derived node are the
+    same sums taken in another order, equal to round-off.
     """
     scale, factor = _scale(state)
     unit = PureState(state.num_qubits, state.amplitudes / scale)
@@ -418,18 +420,14 @@ def all_partitions_report(state: PureState) -> list[InvariantReport]:
     by_selection = {p.selected: p for p in partitions}
     reports = {}
 
-    def visit(partition: Partition, inherited: tuple | None) -> None:
+    def visit(partition: Partition, grams: tuple | None) -> None:
         # A node with nothing to inherit opens its reshape here, unbound, so it
-        # is freed once _report returns and only the Gram chain stays alive
-        # down the subtree; its ε-Gram serves its children or its own E.
-        reports[partition], grams = _report(
-            state,
-            partition,
-            None if inherited or state.support < partition.l else reshape(unit, partition),
-            factor,
-            partition.n > 1 or partition.L > partition.l,
-            inherited,
-        )
+        # is freed once _grams returns and only the Gram chain stays alive down
+        # the subtree; its ε-Gram serves its children or its own E.
+        if grams is None and state.support >= partition.l:
+            bilinear = partition.n > 1 or partition.L > partition.l
+            grams = _grams(reshape(unit, partition), partition, bilinear)
+        reports[partition], grams = _report(state, partition, factor, grams)
         if partition.n == 1:
             return
         # Each child drops a qubit k of the trailing run ..., N - 1, N, the

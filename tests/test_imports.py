@@ -1,5 +1,6 @@
 """Package layout, read from the source: private names stay private, every public
-name has a caller, the CLI has one error boundary, and README's quick start runs."""
+name has a caller, the CLI has one error boundary, reports are built in one
+place, and README's quick start runs."""
 
 import ast
 import re
@@ -103,6 +104,21 @@ def test_cli_main_is_the_one_value_error_boundary():
             if node.type is None or names & CATCHES_VALUE_ERROR:
                 catchers.append(getattr(stmt, "name", "<module>"))
     assert catchers == ["main"]
+
+
+def test_reports_are_built_in_one_place():
+    # A partition is opened into its Gram matrices by monotones._grams, and
+    # every report, zero-column ones included, is evaluated by monotones._report.
+    builders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                if "InvariantReport" in (getattr(node.func, "id", None),
+                                         getattr(node.func, "attr", None)):
+                    builders.append(f"{path.name}: {getattr(stmt, 'name', '<module>')}")
+    assert builders == ["monotones.py: _report"]
 
 
 def test_readme_quick_start_runs():

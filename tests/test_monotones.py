@@ -507,11 +507,27 @@ def _same_report(a, b) -> bool:
     )
 
 
+def _assert_matches_partition_report(state, derives):
+    """Each of ``all_partitions_report``'s reports against ``partition_report``'s:
+    a derived partition (see _derived) has D and E to round-off, and every other
+    field to the bit; any other partition every field to the bit.  ``derives``
+    says whether the state may have derived partitions at all."""
+    reports = all_partitions_report(state)
+    assert [r.partition for r in reports] == admissible_partitions(state.num_qubits)
+    for report in reports:
+        single = partition_report(state, report.partition)
+        where = (state.num_qubits, report.partition.label)
+        if _derived(state, report.partition):
+            assert derives, where
+            assert _close(report.d_value, single.d_value), where
+            assert _close(report.e_value, single.e_value), where
+            report = dataclasses.replace(report, d_value=single.d_value, e_value=single.e_value)
+        assert _same_report(report, single), where
+
+
 def test_all_partitions_report_scales_once_to_the_same_bits():
     # all_partitions_report divides the amplitudes by the norm once; each
     # partition_report divides its own reshape. Elementwise, that is one division.
-    # A derived partition (see _derived) has D and E to round-off, and every
-    # other field to the bit.
     states = [
         PureState(n, scale * random_state(n, seed=250 + n).amplitudes)
         for n in range(2, 9)
@@ -520,17 +536,7 @@ def test_all_partitions_report_scales_once_to_the_same_bits():
     states += [PureState(6, np.zeros(64))]
     states += [_sparse_state(n, seed=260 + 10 * n + i) for n in range(4, 9) for i in range(3)]
     for state in states:
-        parts = admissible_partitions(state.num_qubits)
-        singles = [partition_report(state, p) for p in parts]
-        for report, single in zip(all_partitions_report(state), singles, strict=True):
-            where = (state.num_qubits, report.partition.label)
-            if _derived(state, report.partition):
-                assert _close(report.d_value, single.d_value), where
-                assert _close(report.e_value, single.e_value), where
-                report = dataclasses.replace(
-                    report, d_value=single.d_value, e_value=single.e_value
-                )
-            assert _same_report(report, single), where
+        _assert_matches_partition_report(state, derives=True)
 
 
 def test_partial_trace_grams_match_the_child_reshape():
@@ -618,6 +624,20 @@ def test_eps_gram_is_formed_only_where_a_value_or_a_child_needs_it(monkeypatch):
         calls = _count_calls(monkeypatch, ("gram_bilinear",))
         all_partitions_report(random_state(n, seed=320 + n))
         assert calls["gram_bilinear"] == roots, n
+    # partition_report opens one reshape: no Gram matrix on a zero column, and
+    # a second reshape only where the SVD ranks an uncertified one.
+    haar = random_state(6, seed=326)
+    near = PureState(6, _product_state(6, np.random.default_rng(6)) + 1e-6 * haar.amplitudes)
+    names = ("reshape", "gram_hermitian", "gram_bilinear", "_surely_full_rank")
+    for state, selected, counts, answers in (
+        (haar, (1, 2), (1, 1, 1, 1), [True]),
+        (haar, (1, 2, 6), (1, 1, 0, 1), [True]),
+        (near, (1, 2), (2, 1, 1, 1), [False]),
+        (make_named_state("ghz", 6), (1, 2), (1, 0, 0, 0), []),
+    ):
+        calls = _count_calls(monkeypatch, names)
+        partition_report(state, Partition(6, selected))
+        assert calls == dict(zip(names, counts)) | {"answers": answers}, selected
 
 
 def test_all_partitions_report_checks_children_of_uncertified_parents(monkeypatch):
@@ -637,12 +657,14 @@ def test_all_partitions_report_checks_children_of_uncertified_parents(monkeypatc
 
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
 def test_all_partitions_report_matches_partition_report_to_round_off(n):
-    state = random_state(n, seed=300 + n)
-    for report in all_partitions_report(state):
-        single = partition_report(state, report.partition)
-        assert _close(report.d_value, single.d_value), report.partition.label
-        assert _close(report.e_value, single.e_value), report.partition.label
-        assert report.rank_deficient == single.rank_deficient
+    # Every GHZ and W node opens its own reshape, as a zero column or a support
+    # below l stops their Gram chains. The x37.5 copy takes both paths through
+    # a scale other than 1.
+    haar = random_state(n, seed=300 + n)
+    for state in (haar, PureState(n, 37.5 * haar.amplitudes)):
+        _assert_matches_partition_report(state, derives=True)
+    for name in ("ghz", "w"):
+        _assert_matches_partition_report(make_named_state(name, n), derives=False)
 
 
 @settings(max_examples=60, deadline=None, print_blob=True)
@@ -776,7 +798,7 @@ def test_invariances_past_five_qubits(n, near, log_eps, seed):
 
 @pytest.mark.xfail(
     reason="square E comes from the Hermitian Gram matrix, which squares "
-    "kappa(Z); ROADMAP item 2's one LU of Z mends it",
+    "kappa(Z); ROADMAP item 1's one LU of Z mends it",
 )
 @pytest.mark.parametrize(
     "seed, selected",
