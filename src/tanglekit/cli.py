@@ -1,6 +1,8 @@
 """Command-line interface: compute invariants, generate state files, and run
 the randomized verification suites. Each command returns its exit code and
-its text; `main` alone writes that text, to stdout or `-o`, and prints errors.
+its text in pieces; `main` alone writes each piece as it comes, to stdout or
+`-o`, and prints errors. `gen` yields its document a block at a time, so the
+whole text is never held; `compute` and `verify` return theirs as one piece.
 
 Exit codes: 0 success, 1 verification failure, 2 input, usage or output error.
 """
@@ -12,6 +14,7 @@ import csv
 import io
 import os
 import sys
+from collections.abc import Iterable
 from contextlib import nullcontext, suppress
 
 from .bipartition import Partition
@@ -28,7 +31,7 @@ from .verify import SUITE_NAMES, run_suite
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-# Characters per write: a whole document is never encoded in one copy.
+# Characters per write: a large piece is never encoded in one copy.
 _WRITE_SLICE = 2**20
 
 _CSV_COLUMNS = (
@@ -90,7 +93,7 @@ def _render_csv(reports: list[InvariantReport], monotone: str) -> str:
     return buf.getvalue()
 
 
-def cmd_compute(args) -> tuple[int, str]:
+def cmd_compute(args) -> tuple[int, Iterable[str]]:
     try:
         state = load_state(args.state)
     except OSError as exc:
@@ -101,16 +104,16 @@ def cmd_compute(args) -> tuple[int, str]:
         part = Partition.from_label(state.num_qubits, args.partition)
         reports = [partition_report(state, part)]
     if args.format == "json":
-        return EXIT_OK, _render_json(state.num_qubits, reports, args.monotone)
-    return EXIT_OK, _render_csv(reports, args.monotone)
+        return EXIT_OK, [_render_json(state.num_qubits, reports, args.monotone)]
+    return EXIT_OK, [_render_csv(reports, args.monotone)]
 
 
-def cmd_gen(args) -> tuple[int, str]:
+def cmd_gen(args) -> tuple[int, Iterable[str]]:
     state = make_named_state(args.name, args.num_qubits, seed=args.seed)
     return EXIT_OK, serialize_state(state)
 
 
-def cmd_verify(args) -> tuple[int, str]:
+def cmd_verify(args) -> tuple[int, Iterable[str]]:
     results = run_suite(args.suite, trials=args.trials, seed=args.seed)
     width = max(len(r.name) for r in results)
     lines = [
@@ -120,7 +123,7 @@ def cmd_verify(args) -> tuple[int, str]:
     ]
     failed = sum(1 for r in results if not r.passed)
     lines.append(f"{len(results) - failed}/{len(results)} properties passed\n")
-    return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED, "".join(lines)
+    return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED, ["".join(lines)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,15 +165,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # The one boundary: ValueError (StateParseError too) and a failed write are exit 2.
     try:
-        code, text = args.fn(args)
+        code, pieces = args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     stdout = nullcontext(sys.stdout)
     try:
         with stdout if args.output is None else open(args.output, "w", encoding="utf-8") as fh:
-            for start in range(0, len(text), _WRITE_SLICE):
-                fh.write(text[start : start + _WRITE_SLICE])
+            for piece in pieces:
+                for start in range(0, len(piece), _WRITE_SLICE):
+                    fh.write(piece[start : start + _WRITE_SLICE])
             fh.flush()  # a buffered stdout fails here, not after main has returned
     except OSError as exc:
         print(f"error: cannot write output file: {exc}", file=sys.stderr)

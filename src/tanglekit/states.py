@@ -10,9 +10,12 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+import os
 import re
+import stat
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -21,8 +24,9 @@ MAX_QUBITS = 26
 # Floats serialize_state formats with one `%` call: the block's argument tuple
 # stays small, and the per-block overhead is spread over 2**15 amplitudes.
 _BLOCK = 2**16
-# Characters of amplitude lines _parse_written_layout hands to one json.loads
-# call: its lists and floats stay small next to the text and the amplitudes.
+# Characters load_state reads at a time, and of amplitude lines
+# _parse_written_layout hands to one json.loads call: the text held and the
+# chunk's lists and floats stay small next to the amplitudes.
 _CHUNK = 2**16
 # The layout serialize_state writes and _parse_written_layout matches: the
 # header (``%d`` is n_qubits), the text between two amplitude pairs, the footer.
@@ -132,26 +136,28 @@ def format_float(x: float) -> str:
     return "-0.0" if text == "-0" else text
 
 
-def serialize_state(state: PureState) -> str:
-    """Emit the JSON state document with 17 significant digits per component.
+def serialize_state(state: PureState) -> Iterator[str]:
+    """Yield the JSON state document, with 17 significant digits per component,
+    in pieces: the header, each block of formatted pairs with the separator
+    before it, and the footer. ``"".join`` of the pieces is the whole document.
 
-    The amplitudes are formatted a block at a time by one ``%`` call each;
-    ``%.17g`` gives :func:`format_float`'s digits, and a negative zero becomes
-    ``-0.0`` as there.
+    The amplitudes are formatted a block at a time by one ``%`` call each, so a
+    writer that takes each piece as it comes holds one block of text, not the
+    document; ``%.17g`` gives :func:`format_float`'s digits, and a negative
+    zero becomes ``-0.0`` as there.
     """
     flat = state.amplitudes.view(np.float64)
-    parts = [_HEADER % state.num_qubits]
+    yield _HEADER % state.num_qubits
     for start in range(0, flat.size, _BLOCK):
         block = flat[start : start + _BLOCK]
-        if start:
-            parts.append(_PAIR_SEPARATOR)
         pair_lines = _PAIR_SEPARATOR.join(["    [%.17g, %.17g]"] * (block.size // 2))
+        if start:
+            pair_lines = _PAIR_SEPARATOR + pair_lines
         text = pair_lines % tuple(block.tolist())
         if np.signbit(block[block == 0]).any():
             text = re.sub(r"-0(?=[,\]])", "-0.0", text)
-        parts.append(text)
-    parts.append(_FOOTER)
-    return "".join(parts)
+        yield text
+    yield _FOOTER
 
 
 def parse_state(text: str) -> PureState:
@@ -160,9 +166,14 @@ def parse_state(text: str) -> PureState:
     A document in exactly the layout :func:`serialize_state` writes is parsed
     a chunk of lines at a time (:func:`_parse_written_layout`); any other
     document, and any that path turns down, whole (:func:`_parse_document`).
-    Both end in this one exit, where ``PureState`` refuses a non-finite value.
     """
-    n, flat = _parse_written_layout(text) or _parse_document(text)
+    layout = _parse_written_layout((text,), len(text)) if isinstance(text, str) else None
+    return _checked_state(layout or _parse_document(text))
+
+
+def _checked_state(parsed: tuple[int, np.ndarray]) -> PureState:
+    """The one exit of every parse, where ``PureState`` refuses a non-finite value."""
+    n, flat = parsed
     try:
         return PureState(n, flat.view(complex))
     except ValueError as exc:  # n and the length are checked: only finiteness is left
@@ -229,55 +240,86 @@ def _pair_components(raw: list) -> np.ndarray:
     raise AssertionError("no bad amplitude pair found")
 
 
-def _parse_written_layout(text: str) -> tuple[int, np.ndarray] | None:
-    """Parse a document in the exact layout of :func:`serialize_state` without
-    building its whole JSON tree, or return None on any deviation.
+def _parse_written_layout(pieces: Iterable[str], size: int) -> tuple[int, np.ndarray] | None:
+    """Parse a document in the exact layout of :func:`serialize_state`, given
+    as consecutive pieces of text with at most ``size`` characters in all,
+    without building its whole JSON tree; return None on any deviation.
 
-    The text between the header and the footer is cut, at the first pair
-    separator ``",\\n"`` past each ``_CHUNK`` characters, into chunks that drop
-    the separator's comma. Outside a JSON string that comma always separates
-    two values (a string cannot hold a raw line break), so when every chunk
-    parses as a non-empty value list, joining the lists gives the same array,
-    in the same order: a successful parse returns exactly what ``json.loads``
-    of the whole document would give, and the fixed header leaves the keys and
-    ``n_qubits`` no room to differ.
+    The header must lie in the first piece. The text after it is cut, at the
+    first pair separator ``",\\n"`` past each ``_CHUNK`` characters, into
+    chunks that drop the separator's comma (:func:`_cut_chunks`); each chunk
+    is parsed as soon as it is cut, so only one chunk and the next piece are
+    held as text. The last chunk must end with the footer. Outside a JSON
+    string that comma always separates two values (a string cannot hold a raw
+    line break), so when every chunk parses as a non-empty value list, joining
+    the lists gives the same array, in the same order: a successful parse
+    returns exactly what ``json.loads`` of the whole document would give, and
+    the fixed header leaves the keys and ``n_qubits`` no room to differ.
 
     Every pair passes the same :func:`_pair_components` test as the whole
-    path. A text too short for ``2**n`` pairs of at least ``[0,0]`` (checked
-    before allocating), a chunk ``json`` rejects, a bad pair or a wrong count
-    returns None, and the whole-document path then raises the error.
+    path. A ``size`` too short for ``2**n`` pairs of at least ``[0,0]``
+    (checked before allocating), a chunk ``json`` rejects, a bad pair or a
+    wrong count returns None, and the whole-document path then raises the
+    error.
     """
-    header = _WRITTEN_HEADER.match(text) if isinstance(text, str) else None
-    if header is None or not text.endswith(_FOOTER):
+    pieces = iter(pieces)
+    text = next(pieces, "")
+    header = _WRITTEN_HEADER.match(text)
+    if header is None:
         return None
     n = int(header.group(1))
-    if n > MAX_QUBITS or len(text) < 5 * 2**n:
+    if n > MAX_QUBITS or size < 5 * 2**n:
         return None
     flat = np.empty(2 * 2**n)
     filled = 0
-    start, end = header.end(), len(text) - len(_FOOTER)
-    while start < end:
-        stop = text.find(_PAIR_SEPARATOR, min(start + _CHUNK, end), end)
-        if stop == -1:
-            stop = end
+    for chunk in _cut_chunks(text, header.end(), pieces):
         try:
-            values = _pair_components(json.loads("[" + text[start:stop] + "]"))
+            values = _pair_components(json.loads("[" + chunk + "]"))
         except (ValueError, RecursionError):
             return None
         if not values.size or filled + values.size > flat.size:
             return None
         flat[filled : filled + values.size] = values
         filled += values.size
-        start = stop + 1
     if filled != flat.size:
         return None
     return n, flat
 
 
+def _cut_chunks(text: str, start: int, pieces: Iterator[str]) -> Iterator[str]:
+    """``text[start:]`` and then ``pieces``, cut after the first ``",\\n"`` past
+    each ``_CHUNK`` characters, with the comma dropped. The last chunk stops
+    where the footer starts, or is empty, which no chunk parse accepts, if the
+    text does not end with the footer."""
+    while True:
+        while (stop := text.find(_PAIR_SEPARATOR, start + _CHUNK)) != -1:
+            yield text[start:stop]
+            start = stop + 1
+        piece = next(pieces, None)
+        if piece is None:
+            rest = text[start:]
+            yield rest[: -len(_FOOTER)] if rest.endswith(_FOOTER) else ""
+            return
+        text = text[start:] + piece
+        start = 0
+
+
 def load_state(path) -> PureState:
+    """Read a state file. A regular file in the :func:`serialize_state` layout
+    is read and parsed a ``_CHUNK`` of characters at a time, so its text is
+    never held whole; any other regular file is read again from the start and
+    parsed whole. A pipe, which cannot be read twice, is read whole and parsed
+    as :func:`parse_state` parses a string.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            text = fh.read()
+            info = os.fstat(fh.fileno())
+            if not stat.S_ISREG(info.st_mode):
+                return parse_state(fh.read())
+            parsed = _parse_written_layout(iter(partial(fh.read, _CHUNK), ""), info.st_size)
+            if parsed is None:
+                fh.seek(0)
+                parsed = _parse_document(fh.read())
         except UnicodeDecodeError as exc:
             raise StateParseError(f"state file is not UTF-8 text: {exc.reason}") from exc
-    return parse_state(text)
+    return _checked_state(parsed)

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tanglekit.cli as cli
-from tanglekit.states import make_named_state, parse_state, serialize_state
+from tanglekit.states import _CHUNK, make_named_state, parse_state, serialize_state
 from tanglekit.verify import CheckResult
 
 # data/haar5-seed7.state.json is `tanglekit gen haar-random 5 --seed 7` as
@@ -54,12 +55,28 @@ def test_gen_seeded_is_byte_identical(tmp_path, capsys):
     # A 16-qubit document is written in several slices of cli._WRITE_SLICE characters.
     big = tmp_path / "haar16.json"
     assert run_cli(capsys, "gen", "haar-random", "16", "--seed", "16", "-o", str(big))[0] == 0
-    expected = serialize_state(make_named_state("haar-random", 16, seed=16))
+    expected = "".join(serialize_state(make_named_state("haar-random", 16, seed=16)))
     assert len(expected) > 2 * cli._WRITE_SLICE
     assert big.read_bytes() == expected.encode("utf-8")
     # stdout goes through the same slices.
     code, stdout, _ = run_cli(capsys, "gen", "haar-random", "16", "--seed", "16")
     assert code == 0 and stdout.encode("utf-8") == big.read_bytes()
+
+
+def test_gen_memory_is_bounded_by_one_block(tmp_path):
+    # gen writes each block of formatted pairs as soon as it is formatted: the
+    # peak is the state, its construction's temporaries and one block's text
+    # and floats, not the document, which is about three times the amplitudes.
+    # (At 16-17 qubits one block's temporaries are as large as the state.)
+    num_qubits = 18
+    path = tmp_path / "haar18.json"
+    tracemalloc.start()
+    try:
+        assert cli.main(["gen", "haar-random", "18", "--seed", "18", "-o", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * 2**num_qubits
 
 
 def test_gen_matches_committed_state_file(tmp_path, capsys):
@@ -95,7 +112,7 @@ def test_verify_negative_seed_exits_2(capsys):
 
 def test_compute_single_partition_json(tmp_path, capsys):
     path = tmp_path / "ghz3.json"
-    path.write_text(serialize_state(make_named_state("ghz", 3)), encoding="utf-8")
+    path.write_text("".join(serialize_state(make_named_state("ghz", 3))), encoding="utf-8")
     code, stdout, _ = run_cli(capsys, "compute", "--state", str(path), "--partition", "3")
     assert code == 0
     doc = json.loads(stdout)
@@ -110,7 +127,7 @@ def test_compute_single_partition_json(tmp_path, capsys):
 def test_compute_all_partitions_counts(tmp_path, capsys):
     path = tmp_path / "s4.json"
     s = make_named_state("haar-random", 4, seed=3)
-    path.write_text(serialize_state(s), encoding="utf-8")
+    path.write_text("".join(serialize_state(s)), encoding="utf-8")
     code, stdout, _ = run_cli(
         capsys, "compute", "--state", str(path), "--all-partitions"
     )
@@ -121,7 +138,7 @@ def test_compute_all_partitions_counts(tmp_path, capsys):
 def test_compute_csv_columns(tmp_path, capsys):
     path = tmp_path / "s4.json"
     s = make_named_state("haar-random", 4, seed=4)
-    path.write_text(serialize_state(s), encoding="utf-8")
+    path.write_text("".join(serialize_state(s)), encoding="utf-8")
     code, stdout, _ = run_cli(
         capsys, "compute", "--state", str(path), "--all-partitions", "--format", "csv"
     )
@@ -159,7 +176,7 @@ def test_compute_keeps_the_sign_of_a_negative_zero(tmp_path, capsys):
 
 def test_compute_monotone_selector(tmp_path, capsys):
     path = tmp_path / "bell.json"
-    path.write_text(serialize_state(make_named_state("bell", 2)), encoding="utf-8")
+    path.write_text("".join(serialize_state(make_named_state("bell", 2))), encoding="utf-8")
     code, stdout, _ = run_cli(
         capsys, "compute", "--state", str(path), "--partition", "2", "--monotone", "d"
     )
@@ -172,7 +189,7 @@ def test_compute_monotone_selector(tmp_path, capsys):
 def test_compute_output_is_deterministic(tmp_path, capsys):
     path = tmp_path / "s5.json"
     s = make_named_state("haar-random", 5, seed=9)
-    path.write_text(serialize_state(s), encoding="utf-8")
+    path.write_text("".join(serialize_state(s)), encoding="utf-8")
     argv = ("compute", "--state", str(path), "--all-partitions", "--format", "csv")
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
@@ -219,7 +236,7 @@ def test_compute_missing_file_exits_2(tmp_path, capsys):
 
 def test_compute_bad_partition_exits_2(tmp_path, capsys):
     path = tmp_path / "ghz3.json"
-    path.write_text(serialize_state(make_named_state("ghz", 3)), encoding="utf-8")
+    path.write_text("".join(serialize_state(make_named_state("ghz", 3))), encoding="utf-8")
     for spec, message in (
         ("x", "malformed partition spec 'x'"),
         (
@@ -234,7 +251,7 @@ def test_compute_bad_partition_exits_2(tmp_path, capsys):
 
 def test_compute_requires_partition_choice(tmp_path, capsys):
     path = tmp_path / "bell.json"
-    path.write_text(serialize_state(make_named_state("bell", 2)), encoding="utf-8")
+    path.write_text("".join(serialize_state(make_named_state("bell", 2))), encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "compute", "--state", str(path))
     assert exc.value.code == 2
@@ -242,7 +259,7 @@ def test_compute_requires_partition_choice(tmp_path, capsys):
 
 def test_unwritable_output_exits_2(tmp_path, capsys):
     state = tmp_path / "ghz3.json"
-    state.write_text(serialize_state(make_named_state("ghz", 3)), encoding="utf-8")
+    state.write_text("".join(serialize_state(make_named_state("ghz", 3))), encoding="utf-8")
     compute = ("compute", "--state", str(state), "--all-partitions", "-o")
     for target in (tmp_path / "missing" / "x.json", tmp_path):
         for argv in (("gen", "ghz", "3", "-o"), compute):
@@ -259,7 +276,7 @@ class _BrokenPipe(io.StringIO):
 
 def test_failing_stdout_write_exits_2(tmp_path, capsys, monkeypatch):
     state = tmp_path / "ghz3.json"
-    state.write_text(serialize_state(make_named_state("ghz", 3)), encoding="utf-8")
+    state.write_text("".join(serialize_state(make_named_state("ghz", 3))), encoding="utf-8")
     for argv in (
         ("gen", "ghz", "3"),
         ("compute", "--state", str(state), "--partition", "1"),
@@ -278,7 +295,7 @@ def test_closed_stdout_pipe_exits_2_in_a_subprocess(tmp_path):
     # (Python's default for a pipe) or not. The exit-time flush of a buffered
     # stdout must not fail again and turn exit 2 into 120.
     state = tmp_path / "ghz3.json"
-    state.write_text(serialize_state(make_named_state("ghz", 3)), encoding="utf-8")
+    state.write_text("".join(serialize_state(make_named_state("ghz", 3))), encoding="utf-8")
     package_parent = str(Path(cli.__file__).resolve().parents[1])
     commands = (
         ("gen", "ghz", "3"),
@@ -309,9 +326,51 @@ def test_closed_stdout_pipe_exits_2_in_a_subprocess(tmp_path):
             )
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_compute_reads_a_state_piped_to_dev_stdin(tmp_path, capsys):
+    # A pipe cannot be read twice, so it is read whole and parsed as a string:
+    # a document in gen's layout, several chunks long, and a hand-written
+    # one-line document each give what they give from a regular file.
+    package_parent = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_parent}
+    pairs = ", ".join(["[0, 0]"] * 7)
+    documents = {
+        "gen-layout": "".join(serialize_state(make_named_state("haar-random", 12, seed=12))),
+        "one-line": f'{{"n_qubits": 3, "amplitudes": [[0.6, -0.0], {pairs}]}}',
+    }
+    for name, document in documents.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(document, encoding="utf-8")
+        expected = run_cli(capsys, "compute", "--state", str(path), "--partition", "1")
+        assert expected[0] == 0, name
+        proc = subprocess.run(
+            [sys.executable, "-m", "tanglekit.cli", "compute", "--state", "/dev/stdin",
+             "--partition", "1"],
+            input=document.encode("utf-8"),
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expected, name
+
+
+def test_compute_refuses_a_non_utf8_byte_past_the_first_chunk(tmp_path, capsys):
+    # The chunked reader meets the byte in its second read and gives the message
+    # a whole read gives.
+    text = "".join(serialize_state(make_named_state("haar-random", 12, seed=12))).encode()
+    at = text.index(b"]", _CHUNK) - 1  # the last digit of a pair past the first chunk
+    path = tmp_path / "not-utf8.json"
+    path.write_bytes(text[:at] + b"\xff" + text[at + 1 :])
+    assert_cli_error(
+        capsys,
+        ("compute", "--state", str(path), "--partition", "1"),
+        "state file is not UTF-8 text: invalid start byte",
+    )
+
+
 def test_failing_command_leaves_output_target_as_it_was(tmp_path, capsys):
     ghz3 = tmp_path / "ghz3.json"
-    ghz3.write_text(serialize_state(make_named_state("ghz", 3)), encoding="utf-8")
+    ghz3.write_text("".join(serialize_state(make_named_state("ghz", 3))), encoding="utf-8")
     not_json = tmp_path / "not-json.json"
     not_json.write_text("hello", encoding="utf-8")
     compute = ("compute", "--state")
@@ -378,7 +437,7 @@ def test_trials_must_be_positive(capsys):
 
 def test_every_cli_error_path_exits_2_with_its_message(tmp_path, capsys):
     ghz3 = tmp_path / "ghz3.json"
-    ghz3.write_text(serialize_state(make_named_state("ghz", 3)), encoding="utf-8")
+    ghz3.write_text("".join(serialize_state(make_named_state("ghz", 3))), encoding="utf-8")
     documents = {
         "one-qubit": '{"n_qubits": 1, "amplitudes": [[1, 0], [0, 0]]}',
         "not-json": "hello",

@@ -1,6 +1,8 @@
 import contextlib
 import json
+import os
 import re
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,8 @@ from tanglekit.states import (
     _CHUNK,
     PureState,
     StateParseError,
+    _parse_written_layout,
+    load_state,
     make_named_state,
     parse_state,
     random_state,
@@ -254,7 +258,7 @@ _HEAD = 3
 def _written_document_lines(num_qubits):
     """A serialize_state document as a list of lines, and for each chunk
     boundary of the chunked parse the index of the first amplitude past it."""
-    text = serialize_state(random_state(num_qubits, seed=num_qubits))
+    text = "".join(serialize_state(random_state(num_qubits, seed=num_qubits)))
     body = cut = text.index("[\n") + 2
     end = text.rindex("\n  ]")
     firsts = []
@@ -291,7 +295,7 @@ def test_serialize_matches_per_amplitude_lines_across_blocks():
     for start in (0, 2**16 - 4, flat.size - len(edge)):
         flat[start : start + len(edge)] = edge
     state = PureState(17, amps)
-    text = serialize_state(state)
+    text = "".join(serialize_state(state))
     assert text == serialize_state_lines(state)
     back = parse_state(text).amplitudes.view(np.float64)
     # Every component round-trips bit for bit, the negative zero included.
@@ -300,14 +304,14 @@ def test_serialize_matches_per_amplitude_lines_across_blocks():
 
 def test_serialize_parse_round_trip_is_exact():
     state = random_state(4, seed=21)
-    back = parse_state(serialize_state(state))
+    back = parse_state("".join(serialize_state(state)))
     assert back.num_qubits == state.num_qubits
     assert np.array_equal(back.amplitudes, state.amplitudes)
 
 
 def test_serialize_exponent_notation_round_trip():
     state = PureState(1, [1e-200 + 1e-17j, 1.0])
-    back = parse_state(serialize_state(state))
+    back = parse_state("".join(serialize_state(state)))
     assert np.array_equal(back.amplitudes, state.amplitudes)
 
 
@@ -380,6 +384,18 @@ def test_parse_state_matches_the_whole_document_oracle(data):
     newline = data.draw(st.sampled_from(["\n", "\n", "\r\n"]))
     text = newline.join(lines)
     assert _outcome(parse_state, text) == _outcome(parse_state_whole, text)
+    # load_state reads a file a chunk at a time, with universal newlines.
+    expected = _outcome(parse_state_whole, text.replace("\r\n", "\n"))
+    assert _outcome(_load_written, text) == expected
+
+
+def _load_written(text):
+    """load_state of a file that holds ``text`` as it is."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return load_state(path)
 
 
 def test_parse_state_memory_is_bounded_on_the_written_layout():
@@ -388,7 +404,7 @@ def test_parse_state_memory_is_bounded_on_the_written_layout():
     # is about 11 times the amplitudes. A non-finite value is refused after the
     # one chunked pass, not by a second, whole-document parse.
     num_qubits = 16
-    text = serialize_state(random_state(num_qubits, seed=num_qubits))
+    text = "".join(serialize_state(random_state(num_qubits, seed=num_qubits)))
     nan_first = _plant(text.split("\n"), 0, "[NaN, 0]")
     not_finite = pytest.raises(StateParseError, match="^amplitudes must be finite$")
     for doc, outcome in ((text, contextlib.nullcontext()), (nan_first, not_finite)):
@@ -402,17 +418,69 @@ def test_parse_state_memory_is_bounded_on_the_written_layout():
         assert peak <= 4 * 16 * 2**num_qubits
 
 
-def test_parse_state_refuses_a_short_file_before_allocating_its_register():
+def test_parse_state_refuses_a_short_file_before_allocating_its_register(tmp_path):
     # The header of a written document claims 26 qubits, whose components would
-    # take 1 GiB, but the file holds two pairs.
+    # take 1 GiB, but the file holds two pairs. load_state compares the
+    # register with the file's size, as parse_state does with the text's length.
     text = '{\n  "n_qubits": 26,\n  "amplitudes": [\n    [1, 0],\n    [0, 0]\n  ]\n}\n'
+    path = tmp_path / "short.json"
+    path.write_text(text)
+    for load, source in ((parse_state, text), (load_state, path)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                StateParseError, match="^expected 67108864 amplitudes for n_qubits=26, got 2$"
+            ):
+                load(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, load.__name__
+
+
+def test_load_state_memory_is_bounded_without_the_text(tmp_path):
+    # A file in the written layout is read a chunk at a time: the peak is the
+    # amplitudes twice (the parsed array and PureState's copy) and one chunk,
+    # and no copy of the text, which is about three times the amplitudes.
+    num_qubits = 16
+    path = tmp_path / "state.json"
+    path.write_text("".join(serialize_state(random_state(num_qubits, seed=num_qubits))))
     tracemalloc.start()
     try:
-        with pytest.raises(
-            StateParseError, match="^expected 67108864 amplitudes for n_qubits=26, got 2$"
-        ):
-            parse_state(text)
+        state = load_state(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+    assert np.array_equal(state.amplitudes, random_state(num_qubits, seed=num_qubits).amplitudes)
+    assert peak <= 3 * 16 * 2**num_qubits
+
+
+def test_load_state_refuses_a_non_finite_last_pair(tmp_path):
+    # The last pair is parsed with the footer's chunk, after every other chunk.
+    lines, _ = _written_document_lines(12)
+    path = tmp_path / "nan-last.json"
+    path.write_text(_plant(lines, 4095, "[0, NaN]"))
+    with pytest.raises(StateParseError, match="^amplitudes must be finite$"):
+        load_state(path)
+
+
+def test_written_layout_parse_does_not_depend_on_where_the_pieces_end():
+    # load_state feeds the layout parser a _CHUNK of characters at a time. Any
+    # cut of the text into pieces after the header, inside a pair separator,
+    # into empty pieces or into pieces of one character, gives the same array.
+    text = "".join(serialize_state(random_state(12, seed=12)))
+    n, expected = _parse_written_layout((text,), len(text))
+    separator = text.index(",\n", _CHUNK)
+    for cuts in (
+        [separator + 1],
+        [100, separator, separator, separator + 1, separator + 2],
+        range(60, len(text), 7919),
+        range(_CHUNK, len(text), _CHUNK),
+        range(len(text) - 40, len(text)),
+    ):
+        bounds = [0, *cuts, len(text)]
+        pieces = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+        assert "".join(pieces) == text
+        got_n, got = _parse_written_layout(iter(pieces), len(text))
+        assert got_n == n == 12
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
