@@ -1,8 +1,9 @@
 """Command-line interface: compute invariants, generate state files, and run
 the randomized verification suites. Each command returns its exit code and
 its text in pieces; `main` alone writes each piece as it comes, to stdout or
-`-o`, and prints errors. `gen` yields its document a block at a time, so the
-whole text is never held; `compute` and `verify` return theirs as one piece.
+`-o`, and prints errors. No command holds its whole text: `gen` yields its
+document a block at a time, `compute` one record per piece and `verify` one
+line per piece.
 
 Exit codes: 0 success, 1 verification failure, 2 input, usage or output error.
 """
@@ -11,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from contextlib import nullcontext, suppress
+from types import SimpleNamespace
 
 from .bipartition import Partition
 from .monotones import InvariantReport, all_partitions_report, partition_report
@@ -31,8 +32,6 @@ from .verify import SUITE_NAMES, run_suite
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-# Characters per write: a large piece is never encoded in one copy.
-_WRITE_SLICE = 2**20
 
 _CSV_COLUMNS = (
     "partition",
@@ -64,8 +63,9 @@ def _record_fields(report: InvariantReport, monotone: str) -> dict[str, str | No
     }
 
 
-def _render_json(n_qubits: int, reports: list[InvariantReport], monotone: str) -> str:
-    records = []
+def _render_json(n_qubits: int, reports: list[InvariantReport], monotone: str) -> Iterator[str]:
+    yield f'{{\n  "n_qubits": {n_qubits},\n  "records": [\n'
+    separator = ""
     for report in reports:
         fields = _record_fields(report, monotone)
         parts = []
@@ -78,19 +78,18 @@ def _render_json(n_qubits: int, reports: list[InvariantReport], monotone: str) -
             else:
                 rendered = value
             parts.append(f'"{key}": {rendered}')
-        records.append("    {" + ", ".join(parts) + "}")
-    body = ",\n".join(records)
-    return f'{{\n  "n_qubits": {n_qubits},\n  "records": [\n{body}\n  ]\n}}\n'
+        yield separator + "    {" + ", ".join(parts) + "}"
+        separator = ",\n"
+    yield "\n  ]\n}\n"
 
 
-def _render_csv(reports: list[InvariantReport], monotone: str) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
+def _render_csv(reports: list[InvariantReport], monotone: str) -> Iterator[str]:
+    # writerow returns what its file's write returns: here, the formatted row.
+    writer = csv.writer(SimpleNamespace(write=lambda row: row), lineterminator="\n")
+    yield writer.writerow(_CSV_COLUMNS)
     for report in reports:
         fields = _record_fields(report, monotone)
-        writer.writerow(["" if fields[k] is None else fields[k] for k in _CSV_COLUMNS])
-    return buf.getvalue()
+        yield writer.writerow(["" if fields[k] is None else fields[k] for k in _CSV_COLUMNS])
 
 
 def cmd_compute(args) -> tuple[int, Iterable[str]]:
@@ -104,8 +103,8 @@ def cmd_compute(args) -> tuple[int, Iterable[str]]:
         part = Partition.from_label(state.num_qubits, args.partition)
         reports = [partition_report(state, part)]
     if args.format == "json":
-        return EXIT_OK, [_render_json(state.num_qubits, reports, args.monotone)]
-    return EXIT_OK, [_render_csv(reports, args.monotone)]
+        return EXIT_OK, _render_json(state.num_qubits, reports, args.monotone)
+    return EXIT_OK, _render_csv(reports, args.monotone)
 
 
 def cmd_gen(args) -> tuple[int, Iterable[str]]:
@@ -123,7 +122,7 @@ def cmd_verify(args) -> tuple[int, Iterable[str]]:
     ]
     failed = sum(1 for r in results if not r.passed)
     lines.append(f"{len(results) - failed}/{len(results)} properties passed\n")
-    return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED, ["".join(lines)]
+    return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,9 +171,7 @@ def main(argv=None) -> int:
     stdout = nullcontext(sys.stdout)
     try:
         with stdout if args.output is None else open(args.output, "w", encoding="utf-8") as fh:
-            for piece in pieces:
-                for start in range(0, len(piece), _WRITE_SLICE):
-                    fh.write(piece[start : start + _WRITE_SLICE])
+            fh.writelines(pieces)
             fh.flush()  # a buffered stdout fails here, not after main has returned
     except OSError as exc:
         print(f"error: cannot write output file: {exc}", file=sys.stderr)

@@ -226,3 +226,52 @@ def parse_state_whole(text: str) -> PureState:
     if not np.all(np.isfinite(amps)):
         raise StateParseError("amplitudes must be finite")
     return PureState(n, amps)
+
+
+def graph_state(adjacency) -> PureState:
+    """Graph state of a symmetric 0/1 adjacency matrix A: amplitudes
+    (-1)**(sum_{i<j} A_ij x_i x_j) / 2**(N/2), with qubit 1 the highest bit of
+    the index."""
+    upper = np.triu(np.asarray(adjacency, dtype=np.int64), 1)
+    n = upper.shape[0]
+    index = np.arange(2**n)
+    bits = np.stack([(index >> (n - 1 - k)) & 1 for k in range(n)], axis=1)
+    parity = np.einsum("xi,ij,xj->x", bits, upper, bits) % 2
+    return PureState(n, (1.0 - 2.0 * parity) / 2 ** (n / 2))
+
+
+def gf2_rank(matrix) -> int:
+    """Rank over GF(2), by Gauss–Jordan elimination with XOR row operations."""
+    m = np.array(matrix, dtype=np.uint8) % 2
+    rank = 0
+    for col in range(m.shape[1]):
+        pivots = np.flatnonzero(m[rank:, col])
+        if pivots.size == 0:
+            continue
+        m[[rank, rank + pivots[0]]] = m[[rank + pivots[0], rank]]
+        others = np.flatnonzero(m[:, col])
+        m[others[others != rank]] ^= m[rank]
+        rank += 1
+        if rank == m.shape[0]:
+            break
+    return rank
+
+
+def graph_state_de(adjacency, selected) -> tuple[float, float, bool]:
+    """Exact (D, E, rank flag) of a graph state's partition.
+
+    With B = A[U, S] the block of A between the unselected qubits U and the
+    n selected ones S, the reshape has rank 2**rank2(B) and equal nonzero
+    singular values, so D = 1 when rank2(B) = n and 0 otherwise, and the flag
+    reads rank2(B) < n. The ε-Gram is Zᵀ g Z ∝ ±[B(a ⊕ b) = c], with
+    c = 1 + A[U, U]·1 (mod 2), so E = 1 when B has full rank and c lies in its
+    column space, and 0 otherwise.
+    """
+    a = np.asarray(adjacency, dtype=np.int64) % 2
+    sel = [k - 1 for k in selected]
+    uns = [k for k in range(a.shape[0]) if k not in sel]
+    b = a[np.ix_(uns, sel)]
+    c = (1 + a[np.ix_(uns, uns)].sum(axis=1)) % 2
+    full = gf2_rank(b) == len(sel)
+    solvable = gf2_rank(np.column_stack([b, c])) == gf2_rank(b)
+    return float(full), float(full and solvable), not full

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 import tanglekit.cli as cli
-from tanglekit.states import _CHUNK, make_named_state, parse_state, serialize_state
+from tanglekit.monotones import all_partitions_report
+from tanglekit.states import (
+    _CHUNK,
+    load_state,
+    make_named_state,
+    parse_state,
+    serialize_state,
+)
 from tanglekit.verify import CheckResult
 
 # data/haar5-seed7.state.json is `tanglekit gen haar-random 5 --seed 7` as
@@ -52,15 +59,25 @@ def test_gen_seeded_is_byte_identical(tmp_path, capsys):
     assert run_cli(capsys, "gen", "haar-random", "5", "--seed", "7", "-o", str(a))[0] == 0
     assert run_cli(capsys, "gen", "haar-random", "5", "--seed", "7", "-o", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
-    # A 16-qubit document is written in several slices of cli._WRITE_SLICE characters.
+    # A 16-qubit document is written in several pieces: the header, a piece
+    # per block of pairs (two at 16 qubits) and the footer.
     big = tmp_path / "haar16.json"
     assert run_cli(capsys, "gen", "haar-random", "16", "--seed", "16", "-o", str(big))[0] == 0
-    expected = "".join(serialize_state(make_named_state("haar-random", 16, seed=16)))
-    assert len(expected) > 2 * cli._WRITE_SLICE
-    assert big.read_bytes() == expected.encode("utf-8")
-    # stdout goes through the same slices.
+    pieces = list(serialize_state(make_named_state("haar-random", 16, seed=16)))
+    assert len(pieces) == 4
+    assert big.read_bytes() == "".join(pieces).encode("utf-8")
+    # stdout goes through the same pieces.
     code, stdout, _ = run_cli(capsys, "gen", "haar-random", "16", "--seed", "16")
     assert code == 0 and stdout.encode("utf-8") == big.read_bytes()
+
+
+def _traced_peak(fn):
+    # fn's result and the peak of traced memory while it ran.
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_gen_memory_is_bounded_by_one_block(tmp_path):
@@ -70,13 +87,23 @@ def test_gen_memory_is_bounded_by_one_block(tmp_path):
     # (At 16-17 qubits one block's temporaries are as large as the state.)
     num_qubits = 18
     path = tmp_path / "haar18.json"
-    tracemalloc.start()
-    try:
-        assert cli.main(["gen", "haar-random", "18", "--seed", "18", "-o", str(path)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 16 * 2**num_qubits
+    argv = ["gen", "haar-random", "18", "--seed", "18", "-o", str(path)]
+    code, peak = _traced_peak(lambda: cli.main(argv))
+    assert code == 0 and peak <= 4 * 16 * 2**num_qubits
+
+
+def test_compute_memory_is_bounded_by_one_output(tmp_path):
+    # compute writes each record as it renders it: above what loading the state
+    # and computing its reports take, the peak stays within one output's size
+    # (a whole JSON document held, then encoded, would take about three).
+    path = tmp_path / "haar12.json"
+    path.write_text("".join(serialize_state(make_named_state("haar-random", 12, seed=12))))
+    _, reports_peak = _traced_peak(lambda: all_partitions_report(load_state(str(path))))
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"all.{fmt}"
+        argv = ["compute", "--state", str(path), "--all-partitions", "--format", fmt]
+        code, peak = _traced_peak(lambda: cli.main([*argv, "-o", str(out)]))
+        assert code == 0 and peak - reports_peak <= out.stat().st_size, fmt
 
 
 def test_gen_matches_committed_state_file(tmp_path, capsys):

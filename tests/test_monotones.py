@@ -36,6 +36,8 @@ from oracles import (
     de_oracle_slogdet,
     e_oracle_minor,
     e_oracle_pairwise,
+    graph_state,
+    graph_state_de,
     reshape_bitwise,
     reshape_gathered,
 )
@@ -128,6 +130,71 @@ def test_balanced_partition_d_and_e_survive_determinant_underflow(n, seed):
     assert not report.rank_deficient
     assert report.d_value == pytest.approx(d, rel=1e-9)
     assert report.e_value == pytest.approx(e, rel=1e-9)
+
+
+def _random_graph(n, seed):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.integers(0, 2, (n, n)), 1)
+    return upper + upper.T
+
+
+def _bell_matching(n):
+    # Qubit i joined to i + n/2: n/2 Bell pairs (up to local unitaries), each
+    # across the partition (n/2 + 1, ..., n).
+    adjacency = np.zeros((n, n), dtype=np.int64)
+    for i in range(n // 2):
+        adjacency[i, i + n // 2] = adjacency[i + n // 2, i] = 1
+    return adjacency
+
+
+@pytest.mark.parametrize("n", [6, 9, 10, 12])
+def test_graph_states_match_their_exact_values(n):
+    # D and E of a graph state are 0 or 1 and its rank flag is exact, from GF(2)
+    # ranks of its adjacency matrix. Each n meets all three outcomes:
+    # D = E = 0 with the flag, D = 1 with E = 0, and D = E = 1.
+    outcomes = set()
+    for seed in (0, 1):
+        adjacency = _random_graph(n, seed)
+        for report in all_partitions_report(graph_state(adjacency)):
+            d, e, flag = graph_state_de(adjacency, report.partition.selected)
+            assert abs(report.d_value - d) <= 1e-12, (seed, report.partition.label)
+            assert abs(report.e_value - e) <= 1e-12, (seed, report.partition.label)
+            assert report.rank_deficient == flag, (seed, report.partition.label)
+            outcomes.add((d, e, flag))
+    assert outcomes == {(0.0, 0.0, True), (1.0, 0.0, False), (1.0, 1.0, False)}
+
+
+def test_bell_matchings_read_one_on_their_balanced_cut_exactly():
+    # The exact values the two xfails below hold the report to.
+    for n in (14, 16):
+        selected = range(n // 2 + 1, n + 1)
+        assert graph_state_de(_bell_matching(n), selected) == (1.0, 1.0, False)
+
+
+@pytest.mark.xfail(
+    reason="det of the 256 x 256 Gram matrix (about 2**-2048) underflows to 0; "
+    "ROADMAP item 1's log-domain kernel mends it",
+)
+def test_sixteen_bell_pair_graph_reads_one_on_its_balanced_cut():
+    part = Partition(16, tuple(range(9, 17)))
+    report = partition_report(graph_state(_bell_matching(16)), part)
+    assert not report.rank_deficient
+    assert abs(report.d_value - 1.0) <= 1e-12
+    assert abs(report.e_value - 1.0) <= 1e-12
+
+
+@pytest.mark.xfail(
+    reason="after SL(2,C) on every qubit, the 128 x 128 Gram determinants "
+    "underflow to 0; ROADMAP item 1's log-domain kernel mends it",
+)
+def test_fourteen_bell_pair_graph_keeps_e_under_slocc():
+    # E is SL(2,C)^N-invariant, so the 7 Bell pairs keep E = 1 exactly.
+    rng = np.random.default_rng(14)
+    ops = [LocalOperator(q, random_sl2(rng)) for q in range(1, 15)]
+    state = apply_local(graph_state(_bell_matching(14)), ops)
+    report = partition_report(state, Partition(14, tuple(range(8, 15))))
+    assert not report.rank_deficient
+    assert _rel(report.e_value, 1.0) <= 1e-8
 
 
 def test_monotones_reject_mismatched_partition():
